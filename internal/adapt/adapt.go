@@ -245,7 +245,8 @@ type Adapter struct {
 }
 
 // New builds an adapter around the live models: models stays the
-// champion the scheduler reads, and a deep clone becomes the mutable
+// champion the scheduler reads, and a clone (sharing the read-only
+// networks, owning its latency-model state) becomes the mutable
 // challenger. Returns an error only when the models cannot be cloned.
 func New(cfg Config, models *sched.Models) (*Adapter, error) {
 	cfg.applyDefaults()

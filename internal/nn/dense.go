@@ -97,6 +97,29 @@ func (d *Dense) Forward(x []float64) []float64 {
 	return d.out
 }
 
+// Infer writes the layer output for input x into dst, which must have
+// length Out and must not alias x, and returns dst. It performs exactly
+// Forward's arithmetic in the same order but writes nothing to the
+// layer, so any number of goroutines may run it on one shared layer.
+func (d *Dense) Infer(dst, x []float64) []float64 {
+	if len(x) != d.In || len(dst) != d.Out {
+		panic(fmt.Sprintf("nn: dense infer got %d inputs into %d outputs, want %dx%d",
+			len(x), len(dst), d.In, d.Out))
+	}
+	for o := 0; o < d.Out; o++ {
+		sum := d.B[o]
+		row := d.W[o*d.In : (o+1)*d.In]
+		for i, xi := range x {
+			sum += row[i] * xi
+		}
+		if d.ReLU && sum < 0 {
+			sum = 0
+		}
+		dst[o] = sum
+	}
+	return dst
+}
+
 // Backward takes the gradient of the loss w.r.t. the layer output,
 // accumulates parameter gradients, and returns the gradient w.r.t. the
 // layer input. Must follow a Forward call.

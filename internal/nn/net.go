@@ -35,6 +35,36 @@ func (n *Net) Forward(x []float64) []float64 {
 	return x
 }
 
+// Scratch holds the forward buffers of the inference path (Net.Infer,
+// TwoTower.Infer). The zero value is ready to use; buffers grow on first
+// use and are reused afterwards, so a warm Scratch makes inference
+// allocation free. A Scratch serves one goroutine at a time, while the
+// networks it runs stay read-only and may be shared.
+type Scratch struct {
+	buf    [2][]float64 // ping-pong layer outputs
+	concat []float64    // TwoTower projection concatenation
+}
+
+// grow returns a length-n view of s.buf[i], allocating only when its
+// capacity is short.
+func (s *Scratch) grow(i, n int) []float64 {
+	if cap(s.buf[i]) < n {
+		s.buf[i] = make([]float64, n)
+	}
+	return s.buf[i][:n]
+}
+
+// Infer runs the network without writing to it: the same arithmetic in
+// the same order as Forward, with the layer outputs in s. The returned
+// slice belongs to s and is overwritten by its next use; x must not
+// alias a buffer of s.
+func (n *Net) Infer(s *Scratch, x []float64) []float64 {
+	for i, l := range n.Layers {
+		x = l.Infer(s.grow(i%2, l.Out), x)
+	}
+	return x
+}
+
 // Backward propagates an output gradient through all layers, accumulating
 // parameter gradients, and returns the input gradient.
 func (n *Net) Backward(gout []float64) []float64 {
@@ -129,6 +159,20 @@ func (t *TwoTower) Forward(a, b []float64) []float64 {
 	copy(t.concat, pa)
 	copy(t.concat[len(pa):], pb)
 	return t.Trunk.Forward(t.concat)
+}
+
+// Infer is the read-only counterpart of Forward: the two projections
+// land in s's concatenation buffer and the trunk runs through s. The
+// returned slice belongs to s.
+func (t *TwoTower) Infer(s *Scratch, a, b []float64) []float64 {
+	na, n := t.ProjA.Out, t.ProjA.Out+t.ProjB.Out
+	if cap(s.concat) < n {
+		s.concat = make([]float64, n)
+	}
+	s.concat = s.concat[:n]
+	t.ProjA.Infer(s.concat[:na], a)
+	t.ProjB.Infer(s.concat[na:], b)
+	return t.Trunk.Infer(s, s.concat)
 }
 
 // Backward propagates the output gradient and accumulates parameter

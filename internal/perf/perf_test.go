@@ -253,3 +253,19 @@ func TestQuantile(t *testing.T) {
 		t.Fatalf("p0 of 1..4 = %v, want 1", q)
 	}
 }
+
+func TestLowestMedianRepPicksByMedian(t *testing.T) {
+	// The second rep has the lowest median but the highest maximum; the
+	// third has the lowest maximum. Selection must go by the median.
+	reps := [][]float64{
+		{3, 3, 3, 3, 3},
+		{1, 1, 1, 2, 9},
+		{2, 2, 2, 2, 2},
+	}
+	if got := lowestMedianRep(reps); &got[0] != &reps[1][0] {
+		t.Fatalf("picked %v, want the lowest-median rep %v", got, reps[1])
+	}
+	if got := lowestMedianRep(nil); got != nil {
+		t.Fatalf("no reps picked %v, want nil", got)
+	}
+}

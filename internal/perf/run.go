@@ -350,28 +350,22 @@ func measureGoFLoop(models *sched.Models, c Cell, seed int64, timed bool) (alloc
 		// repetition replays the identical fixed-seed step sequence, so
 		// reps differ only in timing.
 		const wallReps = 5
-		best := math.Inf(1)
-		for rep := 0; rep < wallReps; rep++ {
+		reps := make([][]float64, wallReps)
+		for rep := range reps {
 			st, err := newStepper(models, c, seed)
 			if err != nil {
 				return 0, 0, nil, err
 			}
-			var repTimes []float64
 			for {
 				t0 := time.Now()
 				more := st.Step()
 				if !more {
 					break
 				}
-				repTimes = append(repTimes, float64(time.Since(t0).Nanoseconds())/1e6)
-			}
-			sorted := append([]float64(nil), repTimes...)
-			sort.Float64s(sorted)
-			if med := quantile(sorted, 50); med < best {
-				best = med
-				times = repTimes
+				reps[rep] = append(reps[rep], float64(time.Since(t0).Nanoseconds())/1e6)
 			}
 		}
+		times = lowestMedianRep(reps)
 	}
 
 	st, err := newStepper(models, c, seed)
@@ -380,6 +374,21 @@ func measureGoFLoop(models *sched.Models, c Cell, seed int64, timed bool) (alloc
 	}
 	allocs, bytes = measureAllocs(nil, func() bool { return st.Step() })
 	return allocs, bytes, times, nil
+}
+
+// lowestMedianRep returns the repetition whose median step time is the
+// lowest (the first such on ties), or nil when there are none.
+func lowestMedianRep(reps [][]float64) []float64 {
+	var best []float64
+	bestMed := math.Inf(1)
+	for _, rep := range reps {
+		sorted := append([]float64(nil), rep...)
+		sort.Float64s(sorted)
+		if med := quantile(sorted, 0.5); med < bestMed {
+			bestMed, best = med, rep
+		}
+	}
+	return best
 }
 
 // measureDecisionLoop isolates the scheduler decision path — the per-GoF

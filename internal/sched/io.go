@@ -1,16 +1,19 @@
 package sched
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
+
+	"litereconfig/internal/glm"
+	"litereconfig/internal/linreg"
+	"litereconfig/internal/nn"
 )
 
 // Save serializes the trained models with encoding/gob. Only exported
-// fields persist; network working buffers are reallocated lazily on
-// first use after Load.
+// fields persist; the predictor scratch is grown lazily on first use
+// after Load.
 func (m *Models) Save(w io.Writer) error {
 	if err := gob.NewEncoder(w).Encode(m); err != nil {
 		return fmt.Errorf("sched: encode models: %w", err)
@@ -50,14 +53,33 @@ func LoadFile(path string) (*Models, error) {
 	return Load(f)
 }
 
-// Clone returns a deep copy of the models via a gob round-trip. The
-// prediction networks cache working buffers inside their layers, so a
-// *Models is not safe for concurrent use; the serving engine gives each
-// stream its own clone.
+// Clone returns a copy of the models for one stream or one adapter
+// role. After Train or Load the networks, standardizers, sketches, Ben,
+// Det, FailNets and the branch table are read-only, so the copy shares
+// them with m. Only what the online adapter mutates is copied — the
+// LatDet/LatTrk regressions, LatVar and LatBiasMS (the scalar
+// calibration fields travel with the struct copy) — and the predictor
+// scratch starts empty. Predictions from a clone are bit-identical to
+// those of a gob Save/Load copy. Cloning a Models is safe while other
+// goroutines predict through their own clones of it. The error is
+// always nil.
 func (m *Models) Clone() (*Models, error) {
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		return nil, err
+	c := *m
+	c.scrNorm, c.scrHeavy, c.scrSketch, c.scrContent = nil, nil, nil, nil
+	c.scrNN = nn.Scratch{}
+	c.LatDet = cloneLinregs(m.LatDet)
+	c.LatTrk = cloneLinregs(m.LatTrk)
+	c.LatVar = append([]glm.VarAcc(nil), m.LatVar...)
+	c.LatBiasMS = append([]float64(nil), m.LatBiasMS...)
+	return &c, nil
+}
+
+// cloneLinregs deep-copies a slice of regressions, coefficients
+// included: the adapter's RLS writes each Coef in place.
+func cloneLinregs(src []*linreg.Model) []*linreg.Model {
+	out := make([]*linreg.Model, len(src))
+	for i, r := range src {
+		out[i] = &linreg.Model{Coef: append([]float64(nil), r.Coef...), Intercept: r.Intercept}
 	}
-	return Load(&buf)
+	return out
 }

@@ -406,6 +406,178 @@ func TestSaveLoadRoundTripAfterRefit(t *testing.T) {
 	}
 }
 
+// predictAll flattens every predictor's output over the first few
+// samples: light and content-aware accuracy (each heavy kind alone and
+// the full ensemble), per-branch latency, the q=0.95 quantile, the
+// failure probability and the online calibration terms the scheduler
+// adds on top (per-branch bias, CPU-side multiplier).
+func predictAll(m *Models, samples []Sample) []float64 {
+	if len(samples) > 4 {
+		samples = samples[:4]
+	}
+	var out []float64
+	for _, s := range samples {
+		out = append(out, m.PredictAccuracyLight(s.Light)...)
+		for _, k := range feat.HeavyKinds() {
+			out = append(out, m.PredictAccuracySet([]feat.Kind{k}, s.Light, s.Heavy)...)
+		}
+		out = append(out, m.PredictAccuracySet(feat.HeavyKinds(), s.Light, s.Heavy)...)
+		for bi := range m.Branches {
+			det, trk := m.PredictLatency(bi, s.Light)
+			out = append(out, det, trk, m.PredictQuantile(bi, s.Light, 0.95),
+				m.PredictFailProb(bi, s.Light), m.LatencyBiasMS(bi))
+		}
+	}
+	return append(out, m.CPUAdjFactor())
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d predictions, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: prediction %d = %v, want %v (bit-identical)", what, i, got[i], want[i])
+		}
+	}
+}
+
+// adaptedCopy returns a gob copy of the fixture carrying non-zero
+// adaptation state, so a clone of it starts from populated LatBiasMS and
+// LatVar slices that an in-place write would corrupt if shared.
+func adaptedCopy(t *testing.T, m *Models) *Models {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	a, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.LatBiasMS = make([]float64, len(a.Branches))
+	for i := range a.LatBiasMS {
+		a.LatBiasMS[i] = 0.25 * float64(i%3)
+	}
+	a.AccScale, a.AccBias, a.LatCPUAdj = 1.0625, -0.03125, 1.25
+	return a
+}
+
+func TestCloneMatchesGobCopy(t *testing.T) {
+	ds, orig := fixture(t)
+	for _, m := range []*Models{orig, adaptedCopy(t, orig)} {
+		c, err := m.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		g, err := Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := predictAll(g, ds.Samples)
+		sameBits(t, "clone vs gob copy", predictAll(c, ds.Samples), want)
+		sameBits(t, "original vs gob copy", predictAll(m, ds.Samples), want)
+	}
+}
+
+func TestCloneIsolatesAdapterState(t *testing.T) {
+	ds, orig := fixture(t)
+	parent := adaptedCopy(t, orig)
+	before := predictAll(parent, ds.Samples)
+	c, err := parent.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every write the online adapter makes, in place where the adapter
+	// writes in place (RLS coefficients, the bias and variance slots).
+	for bi, lr := range c.LatDet {
+		for i := range lr.Coef {
+			lr.Coef[i] += 0.01 * float64(bi+1)
+		}
+		lr.Intercept += 0.5
+	}
+	for _, lr := range c.LatTrk {
+		for i := range lr.Coef {
+			lr.Coef[i] -= 0.02
+		}
+		lr.Intercept -= 0.25
+	}
+	for bi := range c.LatBiasMS {
+		c.LatBiasMS[bi] += 1.5
+	}
+	for bi := range c.LatVar {
+		c.LatVar[bi].Forget(0.995)
+		c.LatVar[bi].Add(0.4)
+	}
+	c.LatCPUAdj, c.AccScale, c.AccBias = 1.75, 0.8125, 0.0625
+
+	sameBits(t, "parent after mutating its clone", predictAll(parent, ds.Samples), before)
+	if got := predictAll(c, ds.Samples); math.Float64bits(got[0]) == math.Float64bits(before[0]) {
+		t.Fatal("mutating the clone did not change its own predictions")
+	}
+}
+
+func TestClonesPredictConcurrently(t *testing.T) {
+	ds, orig := fixture(t)
+	bundle := adaptedCopy(t, orig)
+	serial, err := bundle.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := predictAll(serial, ds.Samples)
+
+	const workers = 8
+	got := make([][]float64, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c, err := bundle.Clone()
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			for rep := 0; rep < 3; rep++ {
+				got[w] = predictAll(c, ds.Samples)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		sameBits(t, "concurrent clone", got[w], want)
+	}
+}
+
+func TestSketchMatchesPlainLoop(t *testing.T) {
+	ds, m := fixture(t)
+	for _, k := range feat.HeavyKinds() {
+		for _, s := range ds.Samples[:3] {
+			z := m.HeavyNorm[k].Apply(s.Heavy[k])
+			proj := m.Sketch[k]
+			want := make([]float64, len(proj[0]))
+			for i, zi := range z {
+				if zi == 0 {
+					continue
+				}
+				for j := range want {
+					want[j] += zi * proj[i][j]
+				}
+			}
+			sameBits(t, "sketch "+k.String(), m.sketchApplyInto(k, s.Heavy[k]), want)
+		}
+	}
+}
+
 func TestSwitchMatrix(t *testing.T) {
 	labels, costs := SwitchMatrix(mbek.DefaultBranches())
 	if len(labels) != 16 { // 4 shapes x 4 nprops

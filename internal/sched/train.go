@@ -100,15 +100,19 @@ type Models struct {
 	// content towers see inputs from a different distribution.
 	FeatureSeed int64
 
-	// Reusable scratch for the ...Into predictor variants. Unexported,
-	// so gob serialization (Save/Load/Clone) drops it: every clone
-	// starts with nil scratch and grows its own, which is what makes
-	// per-stream clones safe to use concurrently. A single Models value
-	// is NOT safe for concurrent predictor calls.
-	scrNorm    []float64 // LightNorm output
-	scrHeavy   []float64 // HeavyNorm output
-	scrSketch  []float64 // random-projection output
-	scrContent []float64 // per-kind content prediction inside Set ensembling
+	// Reusable scratch for the predictors. Everything above except the
+	// latency-model state is read-only once Train or Load returns: the
+	// networks run through the inference path (nn.Net.Infer,
+	// nn.TwoTower.Infer), which never writes to them, so every Clone
+	// shares them. The scratch is the only per-call working state; gob
+	// drops it (unexported) and Clone resets it, so each clone grows its
+	// own and per-stream clones are safe to use concurrently. A single
+	// Models value is NOT safe for concurrent predictor calls.
+	scrNorm    []float64  // LightNorm output
+	scrHeavy   []float64  // HeavyNorm output
+	scrSketch  []float64  // random-projection output
+	scrContent []float64  // per-kind content prediction inside Set ensembling
+	scrNN      nn.Scratch // network forward buffers
 }
 
 // Train fits all models on a collected dataset.
@@ -367,7 +371,7 @@ func (m *Models) PredictAccuracyLight(light []float64) []float64 {
 // and stays valid until the caller's next use of that buffer.
 func (m *Models) PredictAccuracyLightInto(dst, light []float64) []float64 {
 	m.scrNorm = m.LightNorm.ApplyInto(m.scrNorm, light)
-	out := m.LightNet.Forward(m.scrNorm)
+	out := m.LightNet.Infer(&m.scrNN, m.scrNorm)
 	dst = append(dst[:0], out...)
 	if m.AccScale != 0 && (m.AccScale != 1 || m.AccBias != 0) {
 		for i := range dst {
@@ -416,7 +420,7 @@ func (m *Models) predictAccuracyContentInto(dst []float64, k feat.Kind, light, h
 		panic(fmt.Sprintf("sched: no content model for %v", k))
 	}
 	dst = m.PredictAccuracyLightInto(dst, light)
-	res := net.Forward(m.scrNorm, m.sketchApplyInto(k, heavy))
+	res := net.Infer(&m.scrNN, m.scrNorm, m.sketchApplyInto(k, heavy))
 	for i := range dst {
 		dst[i] += res[i]
 	}
@@ -606,8 +610,20 @@ func (m *Models) sketchApplyInto(k feat.Kind, heavy []float64) []float64 {
 		if zi == 0 {
 			continue
 		}
-		row := proj[i]
-		for j := range out {
+		// Unrolled by four with bounds checks hoisted: the projection is
+		// the scheduler's hottest loop. Each out[j] still receives the
+		// same additions in the same order, so results are bit-identical
+		// to the plain loop.
+		row := proj[i][:len(out)]
+		j := 0
+		for ; j+4 <= len(out); j += 4 {
+			o, r := out[j:j+4:j+4], row[j:j+4:j+4]
+			o[0] += zi * r[0]
+			o[1] += zi * r[1]
+			o[2] += zi * r[2]
+			o[3] += zi * r[3]
+		}
+		for ; j < len(out); j++ {
 			out[j] += zi * row[j]
 		}
 	}

@@ -144,12 +144,8 @@ func (s *Server) Restore(ck Checkpoint, warm *sched.Models) (*Stream, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reserved--
-	if err != nil {
+	if err := s.admitBuiltLocked(err); err != nil {
 		return nil, err
-	}
-	if s.draining {
-		return nil, fmt.Errorf("serve: server is draining, not accepting streams")
 	}
 	// Fast-forward to the checkpointed position. The stepper opens a
 	// clean latency window at the restored clock time, so the first

@@ -41,12 +41,8 @@ func (s *Server) Prepare(id int, cfg StreamConfig) (*Stream, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reserved--
-	if err != nil {
+	if err := s.admitBuiltLocked(err); err != nil {
 		return nil, err
-	}
-	if s.draining {
-		return nil, fmt.Errorf("serve: server is draining, not accepting streams")
 	}
 	s.queue = append(s.queue, st)
 	return &Stream{st: st}, nil

@@ -69,7 +69,8 @@ const (
 // Options configures a Server.
 type Options struct {
 	// Models is the trained scheduler bundle. Each stream receives its
-	// own deep clone (the prediction networks are not concurrency-safe).
+	// own Clone: the networks are shared read-only, the latency-model
+	// state and predictor scratch are per stream.
 	Models *sched.Models
 	// Device is the simulated board shared by all streams. Default TX2.
 	Device simlat.Device
@@ -210,8 +211,8 @@ type Server struct {
 	tasks    chan func()
 	workerWG sync.WaitGroup
 
-	// clones counts Models deep-clones — one per accepted stream, never
-	// one for a rejected or post-drain submission.
+	// clones counts Models clones — one per admitted stream, never one
+	// for a rejected or post-drain submission.
 	clones atomic.Int64
 
 	// adaptReg is the board's shared model registry (nil when adaptation
@@ -334,9 +335,9 @@ func (s *Server) AdaptRegistry() *adapt.Registry { return s.adaptReg }
 // plain error when the server is draining or the config is invalid.
 //
 // Validation, backpressure and identity assignment all happen before
-// the expensive Models deep-clone: a rejected or post-drain submission
+// the stream's pipeline is built: a rejected or post-drain submission
 // never pays for a pipeline it will not run. The queue slot is reserved
-// under the lock, the clone runs outside it, and the stream only enters
+// under the lock, the build runs outside it, and the stream only enters
 // the queue if the server has not started draining in the meantime.
 func (s *Server) Submit(cfg StreamConfig) (*Stream, error) {
 	if err := validateStreamConfig(cfg); err != nil {
@@ -362,12 +363,8 @@ func (s *Server) Submit(cfg StreamConfig) (*Stream, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reserved--
-	if err != nil {
+	if err := s.admitBuiltLocked(err); err != nil {
 		return nil, err
-	}
-	if s.draining {
-		return nil, fmt.Errorf("serve: server is draining, not accepting streams")
 	}
 	s.enqueueLocked(st)
 	return &Stream{st: st}, nil
@@ -389,8 +386,8 @@ func (s *Server) rejectLocked(cfg StreamConfig) error {
 		ErrQueueFull, s.opts.QueueLimit, cfg.Name)
 }
 
-// Clones returns the number of Models deep-clones performed; rejected
-// submissions do not clone.
+// Clones returns the number of Models clones held by admitted streams;
+// rejected and post-drain submissions do not count.
 func (s *Server) Clones() int { return int(s.clones.Load()) }
 
 // Rejected returns the number of submissions turned away by backpressure.

@@ -163,10 +163,28 @@ func validateStreamConfig(cfg StreamConfig) error {
 
 // buildStream builds the per-stream pipeline on its own clock and models
 // clone. The caller has already assigned the id and reserved a queue
-// slot; the expensive clone happens here, off the server lock and only
-// for accepted submissions.
+// slot; the build happens here, off the server lock, and the caller
+// finishes it with admitBuiltLocked.
 func (s *Server) buildStream(id int, cfg StreamConfig) (*stream, error) {
 	return s.buildStreamWith(id, cfg, nil, 0)
+}
+
+// admitBuiltLocked finishes a build that ran off the lock: it releases
+// the reserved slot and refuses the stream if the build failed or the
+// server began draining meanwhile. Only an admitted stream counts its
+// models clone, so a submission that loses the race with Drain never
+// shows up in Clones. Caller holds the server mutex.
+func (s *Server) admitBuiltLocked(buildErr error) error {
+	s.reserved--
+	if buildErr != nil {
+		return buildErr
+	}
+	if s.draining {
+		return fmt.Errorf("serve: server is draining, not accepting streams")
+	}
+	s.clones.Add(1)
+	s.met.cloneCtr.Inc()
+	return nil
 }
 
 // buildStreamWith is buildStream with recovery hooks: a non-nil warm
@@ -192,8 +210,6 @@ func (s *Server) buildStreamWith(id int, cfg StreamConfig, warm *sched.Models, g
 	if err != nil {
 		return nil, err
 	}
-	s.clones.Add(1)
-	s.met.cloneCtr.Inc()
 	so := s.opts.Observer.StreamObserverGen(id, cfg.Name, gen)
 	// Per-stream online adapter, wrapping the stream's own models clone.
 	// The version label is board-qualified ("b1/s3.v2") so streams that
