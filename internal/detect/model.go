@@ -22,6 +22,7 @@ import (
 	"math"
 	"math/rand"
 
+	"litereconfig/internal/fastrand"
 	"litereconfig/internal/geom"
 	"litereconfig/internal/metric"
 	"litereconfig/internal/vid"
@@ -213,7 +214,7 @@ func detSeed(v *vid.Video, frame int, m Model, cfg Config) int64 {
 // Detect runs one simulated detector pass on frame f of video v under
 // cfg and returns the detections, deterministically.
 func (m Model) Detect(v *vid.Video, f vid.Frame, cfg Config) []metric.Detection {
-	rng := rand.New(rand.NewSource(detSeed(v, f.Index, m, cfg)))
+	rng := rand.New(fastrand.New(detSeed(v, f.Index, m, cfg)))
 	short := v.ShortSide()
 	clutter := v.Profile.Clutter
 	var out []metric.Detection

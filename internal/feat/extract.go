@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"litereconfig/internal/fastrand"
 	"litereconfig/internal/raster"
 	"litereconfig/internal/vid"
 )
@@ -122,7 +123,7 @@ func (e *Extractor) embed(v *vid.Video, f vid.Frame, proj [][]float64, salt int6
 			out[j] += di * row[j]
 		}
 	}
-	noise := rand.New(rand.NewSource(v.Seed*1000003 + int64(f.Index)*31 + salt))
+	noise := rand.New(fastrand.New(v.Seed*1000003 + int64(f.Index)*31 + salt))
 	for j := range out {
 		out[j] = math.Tanh(out[j]) + noise.NormFloat64()*0.02
 	}
@@ -143,7 +144,7 @@ func CPoPVector(v *vid.Video, f vid.Frame) []float64 {
 		covered += o.Box.Area()
 	}
 	coverFrac := math.Min(covered/frameArea, 1)
-	noise := rand.New(rand.NewSource(v.Seed*999983 + int64(f.Index)*17))
+	noise := rand.New(fastrand.New(v.Seed*999983 + int64(f.Index)*17))
 	for c := 0; c < vid.NumClasses; c++ {
 		out[c] = 0.8*hist[c]*coverFrac + math.Abs(noise.NormFloat64())*0.02
 	}

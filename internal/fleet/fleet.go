@@ -28,8 +28,8 @@ import (
 	"litereconfig/internal/adapt"
 	"litereconfig/internal/ckpt"
 	"litereconfig/internal/fault"
-	"litereconfig/internal/glm"
 	"litereconfig/internal/feat"
+	"litereconfig/internal/glm"
 	"litereconfig/internal/obs"
 	"litereconfig/internal/sched"
 	"litereconfig/internal/serve"

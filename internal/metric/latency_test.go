@@ -264,13 +264,13 @@ func TestPercentileSinceRankBoundaries(t *testing.T) {
 		p    float64
 		want float64
 	}{
-		{5, 1},      // ceil(0.05*20) = 1st
-		{50, 10},    // exact boundary: ceil(10) = 10th
+		{5, 1},        // ceil(0.05*20) = 1st
+		{50, 10},      // exact boundary: ceil(10) = 10th
 		{50.0001, 11}, // epsilon above bumps the rank
-		{90, 18},    // exact boundary
-		{95, 19},    // the admission default
-		{99, 20},    // ceil(19.8) = 20th
-		{100, 20},   // max
+		{90, 18},      // exact boundary
+		{95, 19},      // the admission default
+		{99, 20},      // ceil(19.8) = 20th
+		{100, 20},     // max
 	}
 	for _, c := range cases {
 		if got := s.PercentileSince(5, c.p); got != c.want {

@@ -4,7 +4,8 @@
 package metric
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"litereconfig/internal/geom"
 	"litereconfig/internal/vid"
@@ -59,25 +60,34 @@ func PerClassAP(frames []FrameResult, iouThresh float64) map[vid.Class]APResult 
 
 	out := make(map[vid.Class]APResult, len(truthCount))
 	for cls, n := range truthCount {
+		sortRanked(dets[cls])
 		ap, matched := classAP(frames, dets[cls], cls, n, iouThresh)
 		out[cls] = APResult{AP: ap, Truths: n, Matched: matched}
 	}
 	return out
 }
 
-// classAP runs the ranked greedy matching sweep for one class.
+// sortRanked orders detections by descending score, ties broken by
+// ascending frame; the stable sort keeps ties within a frame in input
+// order, so the ranking is deterministic.
+func sortRanked(ds []flatDet) {
+	slices.SortStableFunc(ds, func(a, b flatDet) int {
+		if a.det.Score != b.det.Score {
+			if a.det.Score > b.det.Score {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.frame, b.frame)
+	})
+}
+
+// classAP runs the greedy matching sweep for one class over ds, which
+// sortRanked has ordered.
 func classAP(frames []FrameResult, ds []flatDet, cls vid.Class, nTruth int, iouThresh float64) (ap float64, matched int) {
 	if nTruth == 0 {
 		return 0, 0
 	}
-	// Sort detections by descending score; ties broken by frame then box
-	// for determinism.
-	sort.SliceStable(ds, func(i, j int) bool {
-		if ds[i].det.Score != ds[j].det.Score {
-			return ds[i].det.Score > ds[j].det.Score
-		}
-		return ds[i].frame < ds[j].frame
-	})
 
 	// used[frame] marks ground-truth objects already claimed.
 	used := make(map[int][]bool, len(frames))
@@ -152,7 +162,7 @@ func MeanAP(frames []FrameResult, iouThresh float64) float64 {
 	for cls := range per {
 		classes = append(classes, cls)
 	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
+	slices.Sort(classes)
 	var sum float64
 	for _, cls := range classes {
 		sum += per[cls].AP

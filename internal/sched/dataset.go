@@ -9,6 +9,9 @@ package sched
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"litereconfig/internal/detect"
 	"litereconfig/internal/feat"
@@ -133,10 +136,22 @@ func snippetsOf(v *vid.Video, length, stride int) []vid.Snippet {
 // all features of each snippet's first frame. This is the expensive
 // offline phase ("10% of the training dataset to train the scheduler",
 // Sec. 5.2).
+//
+// The samples and their features are built serially; the (snippet,
+// branch) evaluations then run on GOMAXPROCS workers. Each evaluation
+// is seeded from its own (video, snippet, branch) index and writes only
+// its own branch slot of its sample, so the dataset is bit-identical
+// whatever the worker count or schedule.
 func Collect(cfg Config, videos []*vid.Video) *Dataset {
 	cfg.applyDefaults()
 	ex := feat.NewExtractor(cfg.Seed)
 	ds := &Dataset{Cfg: cfg}
+	// snippet i is ds.Samples[i]'s; seed is the seed of its branch 0.
+	type snippet struct {
+		s    vid.Snippet
+		seed int64
+	}
+	var snips []snippet
 	for vi, v := range videos {
 		for si, s := range snippetsOf(v, cfg.SnippetLen, cfg.SnippetStride) {
 			sample := Sample{
@@ -150,18 +165,40 @@ func Collect(cfg Config, videos []*vid.Video) *Dataset {
 			for _, k := range feat.HeavyKinds() {
 				sample.Heavy[k] = ex.Extract(k, v, s.First())
 			}
-			for bi, b := range cfg.Branches {
-				ev, series := mbek.EvalBranchSeries(cfg.Det, s, b, cfg.Device, 0,
-					cfg.Seed+int64(vi)*100003+int64(si)*307+int64(bi))
-				sample.MAP[bi] = ev.MAP
-				sample.DetMS[bi] = ev.DetMS
-				sample.TrkMS[bi] = ev.TrkMS
-				sample.WinMS[bi] = windowMeans(series, b.GoF)
-			}
+			snips = append(snips, snippet{s, cfg.Seed + int64(vi)*100003 + int64(si)*307})
 			ds.Samples = append(ds.Samples, sample)
 		}
 	}
+	parallelFor(len(snips)*len(cfg.Branches), func(i int) {
+		si, bi := i/len(cfg.Branches), i%len(cfg.Branches)
+		b := cfg.Branches[bi]
+		ev, series := mbek.EvalBranchSeries(cfg.Det, snips[si].s, b, cfg.Device, 0, snips[si].seed+int64(bi))
+		sample := &ds.Samples[si]
+		sample.MAP[bi] = ev.MAP
+		sample.DetMS[bi] = ev.DetMS
+		sample.TrkMS[bi] = ev.TrkMS
+		sample.WinMS[bi] = windowMeans(series, b.GoF)
+	})
 	return ds
+}
+
+// parallelFor runs fn(0) … fn(n-1) on GOMAXPROCS workers and returns
+// when all have finished. Work is handed out in index order; fn must
+// touch only state that belongs to its own index.
+func parallelFor(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // windowMeans folds a per-frame latency series into per-window means of

@@ -218,21 +218,33 @@ func Train(cfg Config, ds *Dataset) (*Models, error) {
 		}
 		residuals[i] = res
 	}
-	for _, k := range feat.HeavyKinds() {
+	// The towers are sketched and built serially, then fitted
+	// concurrently: each fit reads only the shared inputs and writes only
+	// its own tower, with its own trainer copy and seed. Gating stays
+	// serial because it runs the predictors through m's scratch.
+	kinds := feat.HeavyKinds()
+	heavies := make([][][]float64, len(kinds))
+	nets := make([]*nn.TwoTower, len(kinds))
+	for ki, k := range kinds {
 		heavy := make([][]float64, len(train))
 		for i, s := range train {
 			heavy[i] = append([]float64(nil), m.sketchApplyInto(k, s.Heavy[k])...)
 		}
-		net := nn.NewTwoTower(nn.TwoTowerConfig{
+		heavies[ki] = heavy
+		nets[ki] = nn.NewTwoTower(nn.TwoTowerConfig{
 			InA: feat.SpecOf(feat.Light).Dim, InB: len(heavy[0]),
 			ProjDim: cfg.ProjDim, Hidden: cfg.Hidden,
 			Out: len(cfg.Branches), Seed: cfg.Seed + 200 + int64(k),
 		})
+	}
+	parallelFor(len(kinds), func(ki int) {
 		tt := trainer
-		tt.Seed += int64(k)
+		tt.Seed += int64(kinds[ki])
 		tt.L2 = 1e-3
-		tt.FitTwoTower(net, normLights, heavy, residuals)
-		m.ContentNets[k] = net
+		tt.FitTwoTower(nets[ki], normLights, heavies[ki], residuals)
+	})
+	for ki, k := range kinds {
+		m.ContentNets[k] = nets[ki]
 		// Holdout-gated residual scaling: keep the residual only when it
 		// improves branch selection on unseen snippets by a clear margin;
 		// a tower that learned noise degrades to the light model rather

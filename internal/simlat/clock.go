@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"litereconfig/internal/fastrand"
 	"litereconfig/internal/metric"
 )
 
@@ -55,7 +56,7 @@ type Clock struct {
 func NewClock(dev Device, seed int64) *Clock {
 	return &Clock{
 		dev:         dev,
-		rng:         rand.New(rand.NewSource(seed)),
+		rng:         rand.New(fastrand.New(seed)),
 		breakdown:   metric.NewBreakdown(),
 		jitterSigma: 0.05,
 	}

@@ -16,6 +16,7 @@ import (
 	"math"
 	"math/rand"
 
+	"litereconfig/internal/fastrand"
 	"litereconfig/internal/geom"
 	"litereconfig/internal/metric"
 	"litereconfig/internal/vid"
@@ -149,7 +150,7 @@ func New(kind Kind, ds int, seed int64) *Tracker {
 	if ds < 1 {
 		ds = 1
 	}
-	return &Tracker{kind: kind, ds: ds, rng: rand.New(rand.NewSource(seed))}
+	return &Tracker{kind: kind, ds: ds, rng: rand.New(fastrand.New(seed))}
 }
 
 // Kind returns the tracker algorithm.
