@@ -81,15 +81,15 @@ func TestWatchdogLadder(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		schd.ObserveGoF(8, 80)
 	}
-	if schd.DegradeLevel() != MaxDegradeLevel {
-		t.Fatalf("degrade level = %d, want cap %d", schd.DegradeLevel(), MaxDegradeLevel)
+	if schd.DegradeLevel() != maxDegradeLevel {
+		t.Fatalf("degrade level = %d, want cap %d", schd.DegradeLevel(), maxDegradeLevel)
 	}
 	if schd.Overruns() != 5 {
 		t.Fatalf("overruns = %d", schd.Overruns())
 	}
 	// Clean GoFs climb back up.
 	schd.ObserveGoF(8, 20)
-	if schd.DegradeLevel() != MaxDegradeLevel-1 {
+	if schd.DegradeLevel() != maxDegradeLevel-1 {
 		t.Fatalf("clean GoF did not recover a rung: %d", schd.DegradeLevel())
 	}
 	schd.ObserveGoF(8, 20)

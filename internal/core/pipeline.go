@@ -76,34 +76,6 @@ func (p *Pipeline) Name() string {
 	return p.Sched.Name()
 }
 
-// overheadDecider wraps the scheduler, charging the pipeline's constant
-// per-frame overhead once per GoF frame via the decider hook.
-type pipelineDecider struct{ p *Pipeline }
-
-// Decide implements harness.Decider.
-func (d pipelineDecider) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f vid.Frame) mbek.Branch {
-	return d.p.Sched.Decide(k, clock, v, f)
-}
-
-// ObserveGoF implements harness.GoFFeedback, feeding realized GoF
-// latency into the scheduler's degradation watchdog.
-func (d pipelineDecider) ObserveGoF(frames int, avgMS float64) {
-	d.p.Sched.ObserveGoF(frames, avgMS)
-}
-
-// AdaptActive and ObserveGoFOutcome implement harness.OutcomeFeedback;
-// ObserveSwitch implements harness.SwitchFeedback. All three forward to
-// the scheduler's online adapter.
-func (d pipelineDecider) AdaptActive() bool { return d.p.Sched.AdaptActive() }
-
-func (d pipelineDecider) ObserveGoFOutcome(o harness.GoFOutcome) {
-	d.p.Sched.ObserveGoFOutcome(o)
-}
-
-func (d pipelineDecider) ObserveSwitch(from, to mbek.Branch, costMS float64) {
-	d.p.Sched.ObserveSwitch(from, to, costMS)
-}
-
 // injector builds the per-run fault injector, or nil for an unfaulted
 // run.
 func (p *Pipeline) injector() *fault.Injector {
@@ -121,10 +93,10 @@ func (p *Pipeline) injector() *fault.Injector {
 func (p *Pipeline) Run(videos []*vid.Video, clock *simlat.Clock, cg contend.Generator) *harness.Result {
 	res := &harness.Result{MemoryGB: p.MemoryGB}
 	k := mbek.NewKernel(p.Det, clock)
-	var d harness.Decider = pipelineDecider{p}
+	var d harness.Decider = p.Sched
 	if p.ExtraPerFrameMS > 0 {
 		// Charge the constant pipeline overhead through the decider hook.
-		d = chargingDecider{p}
+		d = chargingDecider{p.Sched, p.ExtraPerFrameMS}
 	}
 	inj := p.injector()
 	p.Sched.SetInjector(inj) // resets degradation state every run
@@ -141,32 +113,18 @@ func (p *Pipeline) Run(videos []*vid.Video, clock *simlat.Clock, cg contend.Gene
 
 // chargingDecider charges the per-GoF share of the pipeline overhead at
 // each decision (GoF boundary), approximating a constant per-frame cost
-// without modifying the shared loop: the overhead for the *previous* GoF
-// is charged when the next boundary is reached.
-type chargingDecider struct{ p *Pipeline }
+// without modifying the shared loop. The scheduler's feedback hooks
+// (watchdog, adapter, switch costs) pass through the embedding.
+type chargingDecider struct {
+	*Scheduler
+	extraMS float64
+}
 
 // Decide implements harness.Decider.
 func (d chargingDecider) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f vid.Frame) mbek.Branch {
-	b := d.p.Sched.Decide(k, clock, v, f)
+	b := d.Scheduler.Decide(k, clock, v, f)
 	// Pre-charge this GoF's pipeline overhead: constant per frame times
 	// the chosen GoF length.
-	clock.Charge("pipeline", simlat.CPU, d.p.ExtraPerFrameMS*float64(b.GoF))
+	clock.Charge("pipeline", simlat.CPU, d.extraMS*float64(b.GoF))
 	return b
-}
-
-// ObserveGoF implements harness.GoFFeedback.
-func (d chargingDecider) ObserveGoF(frames int, avgMS float64) {
-	d.p.Sched.ObserveGoF(frames, avgMS)
-}
-
-// AdaptActive and ObserveGoFOutcome implement harness.OutcomeFeedback;
-// ObserveSwitch implements harness.SwitchFeedback.
-func (d chargingDecider) AdaptActive() bool { return d.p.Sched.AdaptActive() }
-
-func (d chargingDecider) ObserveGoFOutcome(o harness.GoFOutcome) {
-	d.p.Sched.ObserveGoFOutcome(o)
-}
-
-func (d chargingDecider) ObserveSwitch(from, to mbek.Branch, costMS float64) {
-	d.p.Sched.ObserveSwitch(from, to, costMS)
 }

@@ -20,7 +20,7 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"litereconfig/internal/adapt"
 	"litereconfig/internal/fault"
@@ -75,13 +75,6 @@ const (
 	// DegradeOff forces them off (chaos ablation: absorb nothing).
 	DegradeOff
 )
-
-// MaxDegradeLevel is the watchdog ladder's floor: at this level the
-// scheduler gives up on feasibility reasoning entirely and runs the
-// absolute cheapest branch until GoFs come back under budget. Exported
-// so the counterfactual replay engine (internal/replay) mirrors the
-// ladder semantics exactly.
-const MaxDegradeLevel = 2
 
 // String implements fmt.Stringer.
 func (p Policy) String() string {
@@ -261,15 +254,15 @@ type Scheduler struct {
 	// adapter copies the light vector it keeps, the observer renders
 	// feature kinds to strings) — and a Scheduler only ever runs one
 	// decision at a time.
-	heavyKinds   []feat.Kind // cached feat.HeavyKinds()
+	in           DecisionInput
+	scrSel       FeatureScratch
 	scrLight     []float64
 	scrAccLight  []float64
 	scrKernelMS  []float64
+	scrSwitchMS  []float64
 	scrAcc       []float64
 	scrHeavy     map[feat.Kind][]float64
-	scrSet       []feat.Kind
-	scrRemaining []feat.Kind
-	scrCand      []feat.Kind
+	scrVec       [feat.NumKinds][]float64 // extracted heavy vectors
 	scrExtracted []feat.Kind
 	scrFailed    []feat.Kind
 	scrRiskF     []float64 // per-branch quantile inflation factors
@@ -316,7 +309,6 @@ func New(opts Options) (*Scheduler, error) {
 		sensor:     NewContentionSensorAlpha(opts.SensorAlpha),
 		featureUse: map[feat.Kind]int{},
 		adapter:    opts.Adapter,
-		heavyKinds: feat.HeavyKinds(),
 		scrHeavy:   map[feat.Kind][]float64{},
 	}
 	if s.adapter == nil && opts.Adapt != nil {
@@ -463,22 +455,17 @@ func (s *Scheduler) ObserveGoF(frames int, avgMS float64) {
 	heavy := s.lastHeavy
 	s.lastHeavy = false
 	s.ensureBreaker()
-	if avgMS > s.opts.SLO {
+	overrun := avgMS > s.opts.SLO
+	s.degradeLevel = LadderStep(s.degradeLevel, overrun)
+	switch {
+	case overrun:
 		s.overruns++
 		s.wdCtr.Inc()
-		if s.degradeLevel < MaxDegradeLevel {
-			s.degradeLevel++
-		}
 		if heavy {
 			s.breakerBad()
 		}
-	} else {
-		if s.degradeLevel > 0 {
-			s.degradeLevel--
-		}
-		if heavy {
-			s.brk.recordGood()
-		}
+	case heavy:
+		s.brk.recordGood()
 	}
 }
 
@@ -519,9 +506,7 @@ func (s *Scheduler) FeatureUse() map[feat.Kind]int {
 // Decisions returns the number of scheduling decisions taken.
 func (s *Scheduler) Decisions() int { return s.decisions }
 
-// estimate prices a base cost under the device and the scheduler's view
-// of contention — the sensed estimate by default, the simulator's ground
-// truth with OracleContention.
+// assumedDevice is the device profile the scheduler plans for.
 func (s *Scheduler) assumedDevice(clock *simlat.Clock) simlat.Device {
 	if s.opts.AssumedDevice != nil {
 		return *s.opts.AssumedDevice
@@ -529,6 +514,9 @@ func (s *Scheduler) assumedDevice(clock *simlat.Clock) simlat.Device {
 	return clock.Device()
 }
 
+// estimate prices a base cost under the device and the scheduler's view
+// of contention — the sensed estimate by default, the simulator's ground
+// truth with OracleContention.
 func (s *Scheduler) estimate(clock *simlat.Clock, class simlat.OpClass, baseMS float64) float64 {
 	if baseMS <= 0 {
 		return 0
@@ -584,10 +572,9 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 	// Per-branch kernel latency estimate under the current device and
 	// contention level: detector share scales with GPU contention, the
 	// tracker share does not (Eq. 2's L0(b, f_L)).
-	if cap(s.scrKernelMS) < len(s.models.Branches) {
-		s.scrKernelMS = make([]float64, len(s.models.Branches))
-	}
-	kernelMS := s.scrKernelMS[:len(s.models.Branches)]
+	n := len(s.models.Branches)
+	s.scrKernelMS = slices.Grow(s.scrKernelMS[:0], n)[:n]
+	kernelMS := s.scrKernelMS
 	cpuAdj := s.models.CPUAdjFactor()
 	for bi := range s.models.Branches {
 		det, trk := s.models.PredictLatency(bi, light)
@@ -596,29 +583,59 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 			s.models.LatencyBiasMS(bi)
 	}
 
-	budget := s.opts.SLO * s.opts.SafetyFactor
-	s0 := s.estimate(clock, lightSpec.ExtractClass, lightSpec.ExtractMS) +
-		s.estimate(clock, lightSpec.PredictClass, lightSpec.PredictMS)
+	// The input of the decision procedure (decide.go): the knobs, the
+	// prediction tables above, C(cur, ·) through the adapter override,
+	// and the heavy-feature price table, each computed once per decision.
+	cur, hasCur := k.Branch(), k.HasBranch()
+	in := &s.in
+	*in = DecisionInput{
+		Branches:     s.models.Branches,
+		Ben:          s.models.Ben,
+		BudgetMS:     s.opts.SLO * s.opts.SafetyFactor,
+		SLOMS:        s.opts.SLO,
+		SafetyFactor: s.opts.SafetyFactor,
+		Hysteresis:   s.opts.Hysteresis,
+		CostWeight:   s.opts.CostWeight,
+		S0MS: s.estimate(clock, lightSpec.ExtractClass, lightSpec.ExtractMS) +
+			s.estimate(clock, lightSpec.PredictClass, lightSpec.PredictMS),
+		Policy:         s.opts.Policy,
+		Forced:         s.opts.ForcedFeature,
+		ManageOverhead: s.opts.Policy.ManagesOverhead(),
+		NoSwitch:       s.opts.DisableSwitchCost,
+		Cur:            -1,
+		HasCur:         hasCur,
+		AccLight:       accLight,
+		KernelMS:       kernelMS,
+	}
+	if hasCur {
+		s.scrSwitchMS = slices.Grow(s.scrSwitchMS[:0], n)[:n]
+		in.SwitchMS = s.scrSwitchMS
+		for bi, b := range s.models.Branches {
+			if b == cur {
+				in.Cur = bi
+			}
+			in.SwitchMS[bi] = s.switchCostMS(cur, b)
+		}
+	}
+	for _, kind := range heavyKinds {
+		in.FeatCostMS[kind] = s.featureCost(clock, kind)
+	}
 
 	// Risk tables for probabilistic admission. The quantile factor lifts
 	// each branch's kernel estimate to its q-quantile under the
 	// lognormal residual model — the margin scales multiplicatively, so
 	// a contention-inflated estimate gets a contention-inflated margin.
-	// The feature-selection analyzer below stays risk-blind: it
-	// estimates benefit, not admission; only the constrained
-	// optimization admits branches.
+	// The feature-selection analyzer stays risk-blind: it estimates
+	// benefit, not admission; only the constrained optimization admits
+	// branches.
 	riskOn := s.opts.RiskQuantile > 0
-	var riskF, failP []float64
 	if riskOn {
-		if cap(s.scrRiskF) < len(s.models.Branches) {
-			s.scrRiskF = make([]float64, len(s.models.Branches))
-			s.scrFailP = make([]float64, len(s.models.Branches))
-		}
-		riskF = s.scrRiskF[:len(s.models.Branches)]
-		failP = s.scrFailP[:len(s.models.Branches)]
+		s.scrRiskF = slices.Grow(s.scrRiskF[:0], n)[:n]
+		s.scrFailP = slices.Grow(s.scrFailP[:0], n)[:n]
+		in.RiskF, in.FailP = s.scrRiskF, s.scrFailP
 		for bi := range s.models.Branches {
-			riskF[bi] = s.models.QuantileFactor(bi, s.riskZ)
-			failP[bi] = s.models.PredictFailProb(bi, light)
+			in.RiskF[bi] = s.models.QuantileFactor(bi, s.riskZ)
+			in.FailP[bi] = s.models.PredictFailProb(bi, light)
 		}
 	}
 
@@ -626,43 +643,20 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 	// state this decision plans under. The watchdog ladder (fed by
 	// ObserveGoF) and an open breaker both pull the heavy-feature path.
 	degrading := s.degradationActive()
-	degradeLevel := 0
 	brkState := breakerClosed
 	if degrading {
 		s.ensureBreaker()
 		s.brk.tick()
-		degradeLevel = s.degradeLevel
+		in.DegradeLevel = s.degradeLevel
+		in.BreakerOpen = s.brk.state == breakerOpen
 		brkState = s.brk.state
-		if degradeLevel > 0 {
+		if in.DegradeLevel > 0 {
 			s.degradedCtr.Inc()
 		}
 	}
 
 	// Step 2: decide the heavy feature set.
-	var selected []feat.Kind
-	benefit := 0.0
-	manageOverhead := true
-	switch s.opts.Policy {
-	case PolicyMinCost:
-		// No heavy features.
-	case PolicyMaxContentResNet:
-		selected = []feat.Kind{feat.ResNet50}
-		manageOverhead = false
-	case PolicyMaxContentMobileNet:
-		selected = []feat.Kind{feat.MobileNetV2}
-		manageOverhead = false
-	case PolicyForceFeature:
-		selected = []feat.Kind{s.opts.ForcedFeature}
-		manageOverhead = false
-	case PolicyFull:
-		if degradeLevel > 0 || brkState == breakerOpen {
-			// Light-features-only mode: the watchdog is shedding load, or
-			// the breaker has disconnected the heavy path (Table 1's cost
-			// asymmetry — heavy features are the expendable budget item).
-			break
-		}
-		selected, benefit = s.selectFeatures(k, clock, accLight, kernelMS, budget, s0)
-	}
+	selected, benefit := in.SelectFeatures(&s.scrSel)
 	for _, kind := range selected {
 		s.featureUse[kind]++
 		s.featureCtr[kind].Inc()
@@ -671,7 +665,9 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 	// Step 3: extract selected features and run their accuracy models.
 	// An injected extraction failure still pays the extraction cost (the
 	// work was attempted) but yields no vector and skips the prediction
-	// model; the accuracy set falls back to whatever survived.
+	// model; the accuracy set falls back to whatever survived. Features
+	// the MBEK's own detector produces are priced at their shared cost
+	// (the scheduler always runs right before a detector frame).
 	heavy := s.scrHeavy
 	for k := range heavy {
 		delete(heavy, k)
@@ -681,7 +677,7 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 	for _, kind := range selected {
 		spec := feat.SpecOf(kind)
 		if !s.opts.IgnoreFeatureOverhead {
-			clock.Charge(CompScheduler, spec.ExtractClass, s.extractBase(spec))
+			clock.Charge(CompScheduler, spec.ExtractClass, spec.ExtractSharedMS)
 		}
 		if s.inj.ExtractFails(f.Index, kind.String()) {
 			failed = append(failed, kind)
@@ -691,7 +687,8 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 		if !s.opts.IgnoreFeatureOverhead {
 			clock.Charge(CompScheduler, spec.PredictClass, spec.PredictMS)
 		}
-		heavy[kind] = s.ex.Extract(kind, v, f)
+		s.scrVec[kind] = s.ex.ExtractInto(s.scrVec[kind], kind, v, f)
+		heavy[kind] = s.scrVec[kind]
 		extracted = append(extracted, kind)
 	}
 	s.scrExtracted, s.scrFailed = extracted, failed
@@ -704,101 +701,16 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 		s.lastHeavy = len(extracted) > 0
 	}
 	s.scrAcc = s.models.PredictAccuracySetInto(s.scrAcc, extracted, light, heavy)
-	acc := s.scrAcc
+	in.Acc = s.scrAcc
 
-	// Step 4: constrained optimization (Eq. 3). The per-invocation costs
-	// (scheduler so far + switching) amortize over the candidate branch's
-	// GoF, since the scheduler re-evaluates once per GoF (Sec. 3.5).
-	schedSpent := sect.Elapsed()
-	cur := k.Branch()
-	hasCur := k.HasBranch()
-	// perFrame prices branch bi for the constraint check: kernel estimate
-	// plus, under managed overhead, the amortized scheduler and switching
-	// cost.
-	perFrame := func(bi int) float64 {
-		b := s.models.Branches[bi]
-		p := kernelMS[bi]
-		if manageOverhead {
-			over := schedSpent
-			if hasCur && !s.opts.DisableSwitchCost {
-				over += s.switchCostMS(cur, b)
-			}
-			p += over / float64(b.GoF)
-		}
-		return p
-	}
-	// riskMargin is the extra per-frame milliseconds the q-quantile adds
-	// over the mean for branch bi (0 under legacy mean admission).
-	riskMargin := func(bi int) float64 {
-		if !riskOn {
-			return 0
-		}
-		return kernelMS[bi] * (riskF[bi] - 1)
-	}
-	bestIdx := -1
-	bestScore := math.Inf(-1)
-	feasible := 0
-	if degradeLevel > 0 {
-		// Watchdog ladder: stop maximizing accuracy and shed latency.
-		// One rung down picks the *cheapest* SLO-feasible branch; at the
-		// ladder floor, feasibility reasoning itself is distrusted (the
-		// predictions just missed) and the absolute cheapest branch runs.
-		bestLat := math.Inf(1)
-		for bi := range s.models.Branches {
-			pf := perFrame(bi) + riskMargin(bi)
-			if pf > budget {
-				continue
-			}
-			feasible++
-			if degradeLevel < MaxDegradeLevel && pf < bestLat {
-				bestLat = pf
-				bestIdx = bi
-			}
-		}
-		if degradeLevel >= MaxDegradeLevel {
-			bestIdx = 0
-			for bi := range kernelMS {
-				if kernelMS[bi] < kernelMS[bestIdx] {
-					bestIdx = bi
-				}
-			}
-		}
-	} else {
-		for bi, b := range s.models.Branches {
-			if perFrame(bi)+riskMargin(bi) > budget {
-				continue
-			}
-			feasible++
-			score := acc[bi]
-			if riskOn {
-				// Discount by the tracker-failure probability: the argmax
-				// maximizes accuracy *conditional on the branch surviving
-				// its GoF*.
-				score *= 1 - failP[bi]
-			}
-			if hasCur && b == cur && s.opts.Hysteresis > 0 && s.opts.Policy == PolicyFull {
-				score += s.opts.Hysteresis
-			}
-			if score > bestScore {
-				bestScore = score
-				bestIdx = bi
-			}
-		}
-	}
-	fallback := bestIdx < 0
-	if fallback {
-		// Nothing fits: fall back to the cheapest branch by predicted
-		// latency, degrading accuracy rather than stalling.
+	// Step 4: constrained optimization (Eq. 3).
+	in.SchedSpentMS = sect.Elapsed()
+	ch := in.ChooseBranch()
+	best := ch.Branch
+	if ch.Fallback {
 		s.fallbackCtr.Inc()
-		bestIdx = 0
-		for bi := range kernelMS {
-			if kernelMS[bi] < kernelMS[bestIdx] {
-				bestIdx = bi
-			}
-		}
 	}
 
-	predMS := perFrame(bestIdx)
 	if s.adapter != nil {
 		// Record the decision's context for the residual collector: the
 		// chosen branch, the light features its latency came from, and
@@ -806,21 +718,17 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 		// milliseconds, so the refit can normalize them back out. The
 		// adapter also shadow-prices the challenger here (predict-only).
 		over := 0.0
-		if manageOverhead {
-			over = schedSpent
-			if hasCur && !s.opts.DisableSwitchCost {
-				over += s.switchCostMS(cur, s.models.Branches[bestIdx])
-			}
-			over /= float64(s.models.Branches[bestIdx].GoF)
+		if in.ManageOverhead {
+			over = in.overheadMS(best)
 		}
 		s.adapter.Begin(adapt.Sample{
-			Branch:     bestIdx,
+			Branch:     best,
 			Light:      light,
 			GPUScale:   s.estimate(clock, simlat.GPU, 1),
 			CPUScale:   s.estimate(clock, simlat.CPU, 1),
 			OverheadMS: over,
-			PredMS:     predMS,
-			PredAcc:    acc[bestIdx],
+			PredMS:     ch.PredMS,
+			PredAcc:    in.Acc[best],
 		})
 	}
 
@@ -833,25 +741,25 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 		}
 		for _, kind := range selected {
 			d.Features = append(d.Features, kind.String())
-			d.FeatureCostMS += s.featureCost(clock, kind)
+			d.FeatureCostMS += in.FeatCostMS[kind]
 		}
 		d.BenefitMAP = benefit
-		d.PredAccuracy = acc[bestIdx]
-		d.PredLatencyMS = predMS
-		d.FeasibleBranches = feasible
+		d.PredAccuracy = in.Acc[best]
+		d.PredLatencyMS = ch.PredMS
+		d.FeasibleBranches = ch.Feasible
 		if s.adapter != nil {
 			d.AdaptVersion = s.adapter.VersionLabel()
 			d.AdaptEvent = s.adapter.TakeEvent()
 			d.AdaptChampErrMS = s.adapter.ChampErrMS()
 			d.AdaptChalErrMS = s.adapter.ChalErrMS()
 		}
-		d.Fallback = fallback
+		d.Fallback = ch.Fallback
 		d.SchedMS = sect.Elapsed()
-		d.Degrade = degradeLevel
+		d.Degrade = in.DegradeLevel
 		if riskOn {
 			d.RiskQ = s.opts.RiskQuantile
-			d.PredP95MS = predMS + riskMargin(bestIdx)
-			d.FailProb = failP[bestIdx]
+			d.PredP95MS = ch.PredMS + in.riskMarginMS(best)
+			d.FailProb = in.FailP[best]
 		}
 		if brkState != breakerClosed {
 			d.Breaker = brkState.String()
@@ -860,180 +768,72 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 			d.FailedFeatures = append(d.FailedFeatures, kind.String())
 		}
 		if s.opts.ReplayTrace {
-			// Capture the decision's full input set for counterfactual
-			// replay. Everything is copied — the scratch slices above are
-			// reused by the next Decide — and every read is passive, so
-			// the decision stream is identical with the flag off.
-			rp := &obs.ReplayPayload{
-				SLOMS:             s.opts.SLO,
-				SafetyFactor:      s.opts.SafetyFactor,
-				BudgetMS:          budget,
-				Hysteresis:        s.opts.Hysteresis,
-				CostWeight:        s.opts.CostWeight,
-				S0MS:              s0,
-				SchedSpentMS:      schedSpent,
-				ManageOverhead:    manageOverhead,
-				DisableSwitchCost: s.opts.DisableSwitchCost,
-				HasCur:            hasCur,
-				GPUScale:          s.estimate(clock, simlat.GPU, 1),
-				CPUScale:          s.estimate(clock, simlat.CPU, 1),
-				CPUAdj:            cpuAdj,
-				NumBranches:       len(s.models.Branches),
-				Light:             append([]float64(nil), light...),
-				AccLight:          append([]float64(nil), accLight...),
-				KernelMS:          append([]float64(nil), kernelMS...),
-			}
-			if hasCur {
-				rp.CurBranch = cur.String()
-				rp.SwitchMS = make([]float64, len(s.models.Branches))
-				for bi, b := range s.models.Branches {
-					rp.SwitchMS[bi] = s.switchCostMS(cur, b)
-				}
-			}
-			if len(extracted) > 0 {
-				rp.Acc = append([]float64(nil), acc...)
-				rp.Heavy = make(map[string][]float64, len(extracted))
-				for _, kind := range extracted {
-					rp.Heavy[kind.String()] = append([]float64(nil), heavy[kind]...)
-				}
-			}
-			rp.FeatCostMS = make(map[string]float64, len(s.heavyKinds))
-			for _, kind := range s.heavyKinds {
-				rp.FeatCostMS[kind.String()] = s.featureCost(clock, kind)
-			}
-			if riskOn {
-				// Risk-admitted corpora are versioned (PolicyRev 1) and
-				// carry the exact per-branch inflation factors and failure
-				// probabilities the admission used, so identity replay
-				// mirrors the risk procedure without re-deriving variance
-				// state, and legacy corpora (PolicyRev 0, fields absent)
-				// keep replaying under mean admission bit-exactly.
-				rp.PolicyRev = 1
-				rp.RiskQ = s.opts.RiskQuantile
-				rp.RiskFactor = append([]float64(nil), riskF...)
-				rp.FailProb = append([]float64(nil), failP...)
-			}
-			d.Replay = rp
+			d.Replay = s.replayPayload(clock, cur, cpuAdj, light, extracted, heavy)
 		}
 	}
-	return s.models.Branches[bestIdx]
+	return s.models.Branches[best]
 }
 
-// extractBase prices extraction, using the detector-shared cost for
-// features that come out of the MBEK's own detector (the scheduler always
-// runs right before a detector frame).
-func (s *Scheduler) extractBase(spec feat.Spec) float64 {
-	return spec.ExtractSharedMS
+// replayPayload captures the decision's full input set for
+// counterfactual replay. Everything is copied — the scratch slices are
+// reused by the next Decide — and every read is passive, so the
+// decision stream is identical with capture off.
+func (s *Scheduler) replayPayload(clock *simlat.Clock, cur mbek.Branch, cpuAdj float64,
+	light []float64, extracted []feat.Kind, heavy map[feat.Kind][]float64) *obs.ReplayPayload {
+	in := &s.in
+	rp := &obs.ReplayPayload{
+		SLOMS:             in.SLOMS,
+		SafetyFactor:      in.SafetyFactor,
+		BudgetMS:          in.BudgetMS,
+		Hysteresis:        in.Hysteresis,
+		CostWeight:        in.CostWeight,
+		S0MS:              in.S0MS,
+		SchedSpentMS:      in.SchedSpentMS,
+		ManageOverhead:    in.ManageOverhead,
+		DisableSwitchCost: in.NoSwitch,
+		HasCur:            in.HasCur,
+		GPUScale:          s.estimate(clock, simlat.GPU, 1),
+		CPUScale:          s.estimate(clock, simlat.CPU, 1),
+		CPUAdj:            cpuAdj,
+		NumBranches:       len(in.Branches),
+		Light:             append([]float64(nil), light...),
+		AccLight:          append([]float64(nil), in.AccLight...),
+		KernelMS:          append([]float64(nil), in.KernelMS...),
+	}
+	if in.HasCur {
+		rp.CurBranch = cur.String()
+		rp.SwitchMS = append([]float64(nil), in.SwitchMS...)
+	}
+	if len(extracted) > 0 {
+		rp.Acc = append([]float64(nil), in.Acc...)
+		rp.Heavy = make(map[string][]float64, len(extracted))
+		for _, kind := range extracted {
+			rp.Heavy[kind.String()] = append([]float64(nil), heavy[kind]...)
+		}
+	}
+	rp.FeatCostMS = make(map[string]float64, len(heavyKinds))
+	for _, kind := range heavyKinds {
+		rp.FeatCostMS[kind.String()] = in.FeatCostMS[kind]
+	}
+	if in.RiskF != nil {
+		// Risk-admitted corpora are versioned (PolicyRev 1) and carry the
+		// exact per-branch inflation factors and failure probabilities the
+		// admission used, so identity replay runs the risk procedure
+		// without re-deriving variance state, and legacy corpora
+		// (PolicyRev 0, fields absent) keep replaying under mean
+		// admission bit-exactly.
+		rp.PolicyRev = 1
+		rp.RiskQ = s.opts.RiskQuantile
+		rp.RiskFactor = append([]float64(nil), in.RiskF...)
+		rp.FailProb = append([]float64(nil), in.FailP...)
+	}
+	return rp
 }
 
 // featureCost estimates the extract+predict cost of a heavy feature under
 // the current device and contention, without charging the clock.
 func (s *Scheduler) featureCost(clock *simlat.Clock, kind feat.Kind) float64 {
 	spec := feat.SpecOf(kind)
-	return s.estimate(clock, spec.ExtractClass, s.extractBase(spec)) +
+	return s.estimate(clock, spec.ExtractClass, spec.ExtractSharedMS) +
 		s.estimate(clock, spec.PredictClass, spec.PredictMS)
-}
-
-// selectFeatures is the cost-benefit analyzer (Sec. 3.4): the nested
-// greedy optimization that adds heavy features one at a time as long as
-// the benefit-table gain survives the shrinking kernel budget. It never
-// extracts a heavy feature — costs come from the Spec table and benefits
-// from the offline Ben table. The second return value is the analyzer's
-// verdict: the net objective gain (predicted mAP, cost-priced) of the
-// selected set over scheduling with light features only — zero when the
-// set is empty.
-func (s *Scheduler) selectFeatures(k *mbek.Kernel, clock *simlat.Clock,
-	accLight, kernelMS []float64, budget, s0 float64) ([]feat.Kind, float64) {
-
-	cur := k.Branch()
-	hasCur := k.HasBranch()
-
-	// value returns the objective of Eq. 3.4 for a candidate feature set:
-	// the best feasible content-agnostic accuracy plus the set's tabled
-	// benefit minus the accuracy-equivalent price of the scheduler
-	// latency it spends, or -Inf when no branch fits.
-	value := func(set []feat.Kind) float64 {
-		var featCost float64
-		for _, kind := range set {
-			featCost += s.featureCost(clock, kind)
-		}
-		best := math.Inf(-1)
-		kernelBudget := 0.0
-		bestGoF := 1.0
-		for bi, b := range s.models.Branches {
-			over := s0 + featCost
-			if hasCur && !s.opts.DisableSwitchCost {
-				over += s.switchCostMS(cur, b)
-			}
-			perFrame := kernelMS[bi] + over/float64(b.GoF)
-			if perFrame > budget {
-				continue
-			}
-			if accLight[bi] > best {
-				best = accLight[bi]
-				bestGoF = float64(b.GoF)
-			}
-			if kb := budget - over/float64(b.GoF); kb > kernelBudget {
-				kernelBudget = kb
-			}
-		}
-		if math.IsInf(best, -1) {
-			return best
-		}
-		// The Ben table was built on true measured kernel latencies; the
-		// online budget carries the planning safety factor, so divide it
-		// out to query on the same scale.
-		v := best + s.models.Ben.SetBenefit(set, kernelBudget/s.opts.SafetyFactor)
-		if s.opts.CostWeight > 0 {
-			v -= s.opts.CostWeight * (featCost / bestGoF) / budget
-		}
-		return v
-	}
-
-	// Tail-latency stall guard: feature extraction runs synchronously at
-	// the GoF boundary, so a feature whose one-shot cost dwarfs the SLO
-	// stalls several consecutive frames past the objective no matter how
-	// it amortizes — exactly why MaxContent-MobileNet violates the tight
-	// SLOs in Table 2. Candidates whose stall exceeds stallCap frames'
-	// worth of budget are excluded outright.
-	const stallFactor = 1.5
-	stallCap := stallFactor * s.opts.SLO
-
-	set := s.scrSet[:0]
-	curVal := value(set)
-	baseVal := curVal
-	remaining := s.scrRemaining[:0]
-	for _, k := range s.heavyKinds {
-		if s.featureCost(clock, k) <= stallCap {
-			remaining = append(remaining, k)
-		}
-	}
-	for len(remaining) > 0 {
-		bestIdx := -1
-		bestVal := curVal
-		for i, cand := range remaining {
-			// Evaluate set+cand through reusable scratch instead of an
-			// append-copy per candidate.
-			trial := append(s.scrCand[:0], set...)
-			trial = append(trial, cand)
-			s.scrCand = trial
-			v := value(trial)
-			if v > bestVal+1e-9 {
-				bestVal = v
-				bestIdx = i
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		set = append(set, remaining[bestIdx])
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		curVal = bestVal
-	}
-	s.scrSet, s.scrRemaining = set, remaining[:0]
-	gain := curVal - baseVal
-	if len(set) == 0 || math.IsInf(gain, 0) || math.IsNaN(gain) {
-		gain = 0
-	}
-	return set, gain
 }

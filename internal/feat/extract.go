@@ -16,11 +16,18 @@ const RasterSize = 64
 
 // Extractor computes feature vectors for video frames. It is deterministic
 // given its seed (which fixes the simulated embedding networks' weights)
-// and safe to reuse across videos. It performs no latency accounting —
-// callers charge the clock using the Spec costs.
+// and safe to reuse across videos, but not for concurrent use. It
+// performs no latency accounting — callers charge the clock using the
+// Spec costs.
 type Extractor struct {
 	projResNet [][]float64 // descriptorDim x 1024
 	projMobile [][]float64 // descriptorDim x 1280
+
+	// The embeddings' working memory, reused across calls: the content
+	// descriptor and the per-frame noise stream, reseeded on every call.
+	desc  []float64
+	noise *fastrand.Source
+	rng   *rand.Rand
 }
 
 // descriptorDim is the size of the hidden content descriptor the simulated
@@ -41,7 +48,8 @@ func NewExtractor(seed int64) *Extractor {
 		}
 		return m
 	}
-	return &Extractor{projResNet: mk(1024), projMobile: mk(1280)}
+	noise := fastrand.New(seed)
+	return &Extractor{projResNet: mk(1024), projMobile: mk(1280), noise: noise, rng: rand.New(noise)}
 }
 
 // Extract computes the feature vector of kind k for frame f of video v.
@@ -55,13 +63,27 @@ func (e *Extractor) Extract(k Kind, v *vid.Video, f vid.Frame) []float64 {
 	case HOG:
 		return HOGVector(raster.Render(v, f, RasterSize, RasterSize))
 	case ResNet50:
-		return e.embed(v, f, e.projResNet, 11)
+		return e.embed(nil, v, f, e.projResNet, 11)
 	case CPoP:
 		return CPoPVector(v, f)
 	case MobileNetV2:
-		return e.embed(v, f, e.projMobile, 13)
+		return e.embed(nil, v, f, e.projMobile, 13)
 	}
 	panic(fmt.Sprintf("feat: unknown kind %d", k))
+}
+
+// ExtractInto is Extract writing the embedding features (ResNet50,
+// MobileNetV2) into dst, grown only when its capacity is short — the
+// allocation-free variant for the scheduler's per-GoF hot path. The
+// raster and proposal features still return a fresh slice.
+func (e *Extractor) ExtractInto(dst []float64, k Kind, v *vid.Video, f vid.Frame) []float64 {
+	switch k {
+	case ResNet50:
+		return e.embed(dst, v, f, e.projResNet, 11)
+	case MobileNetV2:
+		return e.embed(dst, v, f, e.projMobile, 13)
+	}
+	return e.Extract(k, v, f)
 }
 
 // LightVector returns the paper's 4-dim light-weight feature: height,
@@ -91,11 +113,10 @@ func LightVectorInto(dst []float64, v *vid.Video, f vid.Frame) []float64 {
 // descriptor builds the hidden content descriptor the simulated neural
 // embeddings observe. It reads the video's generating profile — this is
 // the stand-in for what a real CNN would infer from pixels.
-func descriptor(v *vid.Video, f vid.Frame) []float64 {
+func descriptor(d []float64, v *vid.Video, f vid.Frame) []float64 {
 	st := v.Stats(f)
 	short := v.ShortSide()
-	d := make([]float64, 0, descriptorDim)
-	d = append(d,
+	d = append(d[:0],
 		float64(st.ObjectCount)/10.0,
 		st.MeanSize/short,
 		st.MeanSpeed/20.0,
@@ -110,11 +131,16 @@ func descriptor(v *vid.Video, f vid.Frame) []float64 {
 
 // embed projects the content descriptor through the seeded weight matrix,
 // applies tanh, and adds small deterministic per-frame noise, simulating
-// a pooled CNN embedding.
-func (e *Extractor) embed(v *vid.Video, f vid.Frame, proj [][]float64, salt int64) []float64 {
-	d := descriptor(v, f)
-	out := make([]float64, len(proj[0]))
-	for i, di := range d {
+// a pooled CNN embedding. The result is written into out.
+func (e *Extractor) embed(out []float64, v *vid.Video, f vid.Frame, proj [][]float64, salt int64) []float64 {
+	e.desc = descriptor(e.desc, v, f)
+	if n := len(proj[0]); cap(out) < n {
+		out = make([]float64, n)
+	} else {
+		out = out[:n]
+		clear(out)
+	}
+	for i, di := range e.desc {
 		if di == 0 {
 			continue
 		}
@@ -123,9 +149,9 @@ func (e *Extractor) embed(v *vid.Video, f vid.Frame, proj [][]float64, salt int6
 			out[j] += di * row[j]
 		}
 	}
-	noise := rand.New(fastrand.New(v.Seed*1000003 + int64(f.Index)*31 + salt))
+	e.noise.Seed(v.Seed*1000003 + int64(f.Index)*31 + salt)
 	for j := range out {
-		out[j] = math.Tanh(out[j]) + noise.NormFloat64()*0.02
+		out[j] = math.Tanh(out[j]) + e.rng.NormFloat64()*0.02
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 // Package replay is the counterfactual replay engine: it re-runs the
-// LiteReconfig scheduler — and only the scheduler — over decision
-// traces captured with the ReplayTrace payload, either verbatim (the
+// LiteReconfig scheduler's decision procedure (core.DecisionInput) —
+// and only that — over decision traces captured with the ReplayTrace
+// payload, either verbatim (the
 // fidelity invariant: an unchanged policy must reproduce the recorded
 // decision stream exactly) or under altered policy knobs (a different
 // SLO, the degradation ladder disabled or re-simulated, alternate

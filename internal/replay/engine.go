@@ -2,7 +2,7 @@ package replay
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"litereconfig/internal/core"
 	"litereconfig/internal/feat"
@@ -21,8 +21,15 @@ type Engine struct {
 	branchIdx  map[string]int
 	heavyKinds []feat.Kind
 
-	override    *variant
+	// The Config.Policy override, when set.
+	policy      core.Policy
+	forced      feat.Kind
 	hasOverride bool
+
+	// Per-decision scratch for the decision procedure.
+	in          core.DecisionInput
+	scr         core.FeatureScratch
+	scrSwitchMS []float64
 }
 
 // New validates the configuration and builds an engine.
@@ -40,11 +47,10 @@ func New(cfg Config) (*Engine, error) {
 		e.branchIdx[b.String()] = i
 	}
 	if cfg.Policy != "" {
-		v, err := parsePolicyOverride(cfg.Policy)
-		if err != nil {
-			return nil, err
+		var err error
+		if e.policy, e.forced, err = core.ParsePolicy(cfg.Policy); err != nil {
+			return nil, fmt.Errorf("replay: policy override: %w", err)
 		}
-		e.override = &v
 		e.hasOverride = true
 	}
 	if cfg.SLOMS < 0 || cfg.SafetyFactor < 0 {
@@ -236,9 +242,9 @@ func (e *Engine) replayChain(path string, ds []obs.Decision, res *Result,
 	return nil
 }
 
-// redecide mirrors core.Scheduler.Decide over one recorded decision's
-// captured inputs. Every arithmetic step reproduces the scheduler's
-// exact operation order, so with unchanged knobs the result is
+// redecide runs core's decision procedure on the input recorded in one
+// decision's payload, under the engine's knob overrides. With unchanged
+// knobs the input is the one the live scheduler built, so the result is
 // bit-identical to the recording.
 func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, chainDiverged *bool) (Redecision, error) {
 	at := func() string {
@@ -258,43 +264,47 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 	if rp.SwitchMS != nil && len(rp.SwitchMS) != n {
 		return Redecision{}, fmt.Errorf("replay: %s: switch_ms table truncated (%d, want %d)", at(), len(rp.SwitchMS), n)
 	}
+	if want := len(e.models.LightNorm.Mean); len(rp.Light) != want {
+		return Redecision{}, fmt.Errorf("replay: %s: payload light vector has %d dims, models want %d", at(), len(rp.Light), want)
+	}
+	in := &e.in
+	*in = core.DecisionInput{Branches: e.models.Branches, Ben: e.models.Ben, Cur: -1}
+	for _, k := range e.heavyKinds {
+		c, ok := rp.FeatCostMS[k.String()]
+		if !ok {
+			return Redecision{}, fmt.Errorf("replay: %s: payload has no cost for feature %v", at(), k)
+		}
+		in.FeatCostMS[k] = c
+		if vec, ok := rp.Heavy[k.String()]; ok && len(vec) != len(e.models.HeavyNorm[k].Mean) {
+			return Redecision{}, fmt.Errorf("replay: %s: payload %v vector has %d dims, models want %d", at(), k, len(vec), len(e.models.HeavyNorm[k].Mean))
+		}
+	}
 
 	// Effective knobs: configured overrides, else as recorded.
-	slo := rp.SLOMS
+	in.SLOMS = rp.SLOMS
 	if e.cfg.SLOMS > 0 {
-		slo = e.cfg.SLOMS
+		in.SLOMS = e.cfg.SLOMS
 	}
-	safety := rp.SafetyFactor
+	in.SafetyFactor = rp.SafetyFactor
 	if e.cfg.SafetyFactor > 0 {
-		safety = e.cfg.SafetyFactor
+		in.SafetyFactor = e.cfg.SafetyFactor
 	}
-	budget := slo * safety
-	hyst := rp.Hysteresis
-	if e.cfg.Hysteresis != nil {
-		hyst = *e.cfg.Hysteresis
-	}
-	costW := rp.CostWeight
-	if e.cfg.CostWeight != nil {
-		costW = *e.cfg.CostWeight
-	}
-	noSwitch := rp.DisableSwitchCost
-	if e.cfg.DisableSwitchCost != nil {
-		noSwitch = *e.cfg.DisableSwitchCost
-	}
+	in.BudgetMS = in.SLOMS * in.SafetyFactor
+	in.S0MS = rp.S0MS
+	in.Hysteresis = orRecorded(e.cfg.Hysteresis, rp.Hysteresis)
+	in.CostWeight = orRecorded(e.cfg.CostWeight, rp.CostWeight)
+	in.NoSwitch = orRecorded(e.cfg.DisableSwitchCost, rp.DisableSwitchCost)
 
 	// Variant: the override, else the recorded policy name.
-	var v variant
-	var manageOverhead bool
 	if e.hasOverride {
-		v = *e.override
-		manageOverhead = v.manageOverhead()
+		in.Policy, in.Forced = e.policy, e.forced
+		in.ManageOverhead = e.policy.ManagesOverhead()
 	} else {
 		var err error
-		v, err = parsePolicyName(d.Policy)
-		if err != nil {
-			return Redecision{}, fmt.Errorf("%w (%s)", err, at())
+		if in.Policy, in.Forced, err = core.ParsePolicy(d.Policy); err != nil {
+			return Redecision{}, fmt.Errorf("replay: %w (%s)", err, at())
 		}
-		manageOverhead = rp.ManageOverhead
+		in.ManageOverhead = rp.ManageOverhead
 	}
 
 	// Current-branch state: a recorded fresh kernel (no branch yet —
@@ -302,7 +312,7 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 	// chain; otherwise the recorded branch while the chain still tracks
 	// the recording, the chained counterfactual branch after the first
 	// divergence.
-	hasCur := rp.HasCur
+	in.HasCur = rp.HasCur
 	recordedCur := -1
 	if rp.HasCur {
 		bi, ok := e.branchIdx[rp.CurBranch]
@@ -313,105 +323,65 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 	} else {
 		*curIdx = -1
 	}
-	cur := *curIdx
-	if !*chainDiverged || cur < 0 {
-		cur = recordedCur
+	in.Cur = *curIdx
+	if !*chainDiverged || in.Cur < 0 {
+		in.Cur = recordedCur
 	}
-	// switchMS prices C(b0, b): the recorded per-branch costs (which
-	// include adapter-observed estimates) whenever the counterfactual
-	// sits on the recorded branch, the offline model otherwise.
-	switchMS := func(bi int) float64 {
-		if cur == recordedCur && rp.SwitchMS != nil {
-			return rp.SwitchMS[bi]
+	// C(cur, ·): the recorded row (which includes adapter-observed
+	// estimates) whenever the counterfactual sits on the recorded branch,
+	// the offline model otherwise.
+	if in.HasCur {
+		if in.Cur == recordedCur && rp.SwitchMS != nil {
+			in.SwitchMS = rp.SwitchMS
+		} else {
+			e.scrSwitchMS = e.scrSwitchMS[:0]
+			for _, b := range e.models.Branches {
+				e.scrSwitchMS = append(e.scrSwitchMS, mbek.SwitchCostMS(e.models.Branches[in.Cur], b))
+			}
+			in.SwitchMS = e.scrSwitchMS
 		}
-		return mbek.SwitchCostMS(e.models.Branches[cur], e.models.Branches[bi])
 	}
 
 	// Degradation state for this decision.
-	degradeLevel := 0
-	brkOpen := false
 	switch e.cfg.Degrade {
 	case DegradeRecorded:
-		degradeLevel = d.Degrade
-		brkOpen = d.Breaker == "open"
-	case DegradeOff:
-		// all zero
+		in.DegradeLevel = d.Degrade
+		in.BreakerOpen = d.Breaker == "open"
 	case DegradeSim:
-		degradeLevel = *simLevel
-		brkOpen = d.Breaker == "open"
+		in.DegradeLevel = *simLevel
+		in.BreakerOpen = d.Breaker == "open"
 	}
 
 	// Prediction tables: recorded, or recomputed from the bundle and
 	// the recorded feature vectors + scale factors (UseModelPredictions).
-	accLight := rp.AccLight
-	kernelMS := rp.KernelMS
-	cpuAdj := rp.CPUAdj
-	if cpuAdj == 0 {
-		cpuAdj = 1
-	}
+	in.AccLight, in.KernelMS = rp.AccLight, rp.KernelMS
 	if e.cfg.UseModelPredictions {
-		if len(rp.Light) == 0 {
-			return Redecision{}, fmt.Errorf("replay: %s: payload has no light feature vector", at())
-		}
-		accLight = e.models.PredictAccuracyLight(rp.Light)
-		cpuAdj = e.models.CPUAdjFactor()
-		kernelMS = make([]float64, n)
-		for bi := range kernelMS {
+		in.AccLight = e.models.PredictAccuracyLight(rp.Light)
+		cpuAdj := e.models.CPUAdjFactor()
+		in.KernelMS = make([]float64, n)
+		for bi := range in.KernelMS {
 			det, trk := e.models.PredictLatency(bi, rp.Light)
-			kernelMS[bi] = det*rp.GPUScale + trk*rp.CPUScale*cpuAdj + e.models.LatencyBiasMS(bi)
+			in.KernelMS[bi] = det*rp.GPUScale + trk*rp.CPUScale*cpuAdj + e.models.LatencyBiasMS(bi)
 		}
 	}
 
-	// Heavy-feature prices as the analyzer saw them.
-	featCost := func(k feat.Kind) (float64, error) {
-		c, ok := rp.FeatCostMS[k.String()]
-		if !ok {
-			return 0, fmt.Errorf("replay: %s: payload has no cost for feature %v", at(), k)
-		}
-		return c, nil
-	}
+	// Step 2: decide the heavy feature set.
+	selected, _ := in.SelectFeatures(&e.scr)
 
-	// Step 2 mirror: decide the heavy feature set.
-	var selected []feat.Kind
-	switch v.policy {
-	case core.PolicyMinCost:
-	case core.PolicyMaxContentResNet:
-		selected = []feat.Kind{feat.ResNet50}
-	case core.PolicyMaxContentMobileNet:
-		selected = []feat.Kind{feat.MobileNetV2}
-	case core.PolicyForceFeature:
-		selected = []feat.Kind{v.forced}
-	case core.PolicyFull:
-		if degradeLevel > 0 || brkOpen {
-			break
-		}
-		var err error
-		selected, err = e.selectFeatures(rp, accLight, kernelMS, budget, slo, costW,
-			hasCur, noSwitch, switchMS, featCost)
-		if err != nil {
-			return Redecision{}, err
-		}
-	}
-
-	// Step 3 mirror: map the selected set onto the recorded extraction
+	// Step 3: map the selected set onto the recorded extraction
 	// environment. Recorded extraction failures fail again (they are
 	// the environment, not the policy); selections the recording never
 	// extracted have no vectors and degrade the estimate loudly.
 	recorded := d.Features
 	sameSet := equalKindNames(selected, recorded)
-	failed := map[string]bool{}
-	for _, name := range d.FailedFeatures {
-		failed[name] = true
-	}
 	missingHeavy := 0
 	var extracted []feat.Kind
 	var heavy map[feat.Kind][]float64
 	for _, k := range selected {
-		name := k.String()
-		if failed[name] {
+		if slices.Contains(d.FailedFeatures, k.String()) {
 			continue
 		}
-		vec, ok := rp.Heavy[name]
+		vec, ok := rp.Heavy[k.String()]
 		if !ok {
 			missingHeavy++
 			continue
@@ -422,148 +392,65 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 		heavy[k] = vec
 		extracted = append(extracted, k)
 	}
-	var acc []float64
 	switch {
 	case sameSet && !e.cfg.UseModelPredictions:
 		// Identity path: the recorded content-aware table when heavy
 		// features survived, else the content-agnostic one (what
 		// PredictAccuracySet returns for an empty set).
+		in.Acc = in.AccLight
 		if len(rp.Acc) == n {
-			acc = rp.Acc
-		} else {
-			acc = accLight
+			in.Acc = rp.Acc
 		}
 	case len(extracted) == 0:
-		acc = accLight
+		in.Acc = in.AccLight
 	default:
-		acc = e.models.PredictAccuracySet(extracted, rp.Light, heavy)
+		in.Acc = e.models.PredictAccuracySet(extracted, rp.Light, heavy)
 	}
 
 	// Scheduler spend: the recorded realization when the feature set is
 	// unchanged; otherwise adjusted by the estimated price delta of the
 	// selection change.
-	schedSpent := rp.SchedSpentMS
+	in.SchedSpentMS = rp.SchedSpentMS
 	if !sameSet {
 		for _, name := range recorded {
 			if c, ok := rp.FeatCostMS[name]; ok {
-				schedSpent -= c
+				in.SchedSpentMS -= c
 			}
 		}
 		for _, k := range selected {
-			c, err := featCost(k)
-			if err != nil {
-				return Redecision{}, err
-			}
-			schedSpent += c
+			in.SchedSpentMS += in.FeatCostMS[k]
 		}
-		if schedSpent < 0 {
-			schedSpent = 0
-		}
+		in.SchedSpentMS = max(in.SchedSpentMS, 0)
 	}
 
-	// Risk-admission mirror: a risk-recorded payload (PolicyRev ≥ 1)
-	// carries the exact per-branch quantile inflation factors and
-	// tracker-failure probabilities the live admission used, so replay
-	// reproduces the risk procedure bit-exactly without variance state.
-	// The Config.RiskQuantile override instead re-derives both from the
+	// Risk admission: a risk-recorded payload (PolicyRev ≥ 1) carries the
+	// exact per-branch quantile inflation factors and tracker-failure
+	// probabilities the live admission used, so replay reproduces the
+	// risk procedure bit-exactly without variance state. The
+	// Config.RiskQuantile override instead re-derives both from the
 	// engine's models (counterfactual risk level), or forces mean
 	// admission at zero.
-	riskOn := false
-	var riskF, failP []float64
 	if e.cfg.RiskQuantile == nil {
 		if rp.PolicyRev >= 1 && rp.RiskQ > 0 {
 			if len(rp.RiskFactor) != n || len(rp.FailProb) != n {
 				return Redecision{}, fmt.Errorf("replay: %s: risk payload tables truncated (risk_factor %d, fail_prob %d, want %d)", at(), len(rp.RiskFactor), len(rp.FailProb), n)
 			}
-			riskOn = true
-			riskF, failP = rp.RiskFactor, rp.FailProb
+			in.RiskF, in.FailP = rp.RiskFactor, rp.FailProb
 		}
 	} else if q := *e.cfg.RiskQuantile; q > 0 {
-		riskOn = true
 		z := glm.NormalQuantile(q)
-		riskF = make([]float64, n)
-		failP = make([]float64, n)
+		in.RiskF = make([]float64, n)
+		in.FailP = make([]float64, n)
 		for bi := 0; bi < n; bi++ {
-			riskF[bi] = e.models.QuantileFactor(bi, z)
-			if len(rp.Light) > 0 {
-				failP[bi] = e.models.PredictFailProb(bi, rp.Light)
-			}
+			in.RiskF[bi] = e.models.QuantileFactor(bi, z)
+			in.FailP[bi] = e.models.PredictFailProb(bi, rp.Light)
 		}
 	}
 
-	// Step 4 mirror: constrained optimization over the candidate set.
-	perFrame := func(bi int) float64 {
-		p := kernelMS[bi]
-		if manageOverhead {
-			over := schedSpent
-			if hasCur && !noSwitch {
-				over += switchMS(bi)
-			}
-			p += over / float64(e.models.Branches[bi].GoF)
-		}
-		return p
-	}
-	riskMargin := func(bi int) float64 {
-		if !riskOn {
-			return 0
-		}
-		return kernelMS[bi] * (riskF[bi] - 1)
-	}
-	bestIdx := -1
-	bestScore := math.Inf(-1)
-	feasible := 0
-	if degradeLevel > 0 {
-		bestLat := math.Inf(1)
-		for bi := range e.models.Branches {
-			pf := perFrame(bi) + riskMargin(bi)
-			if pf > budget {
-				continue
-			}
-			feasible++
-			if degradeLevel < core.MaxDegradeLevel && pf < bestLat {
-				bestLat = pf
-				bestIdx = bi
-			}
-		}
-		if degradeLevel >= core.MaxDegradeLevel {
-			bestIdx = 0
-			for bi := range kernelMS {
-				if kernelMS[bi] < kernelMS[bestIdx] {
-					bestIdx = bi
-				}
-			}
-		}
-	} else {
-		for bi := range e.models.Branches {
-			if perFrame(bi)+riskMargin(bi) > budget {
-				continue
-			}
-			feasible++
-			score := acc[bi]
-			if riskOn {
-				score *= 1 - failP[bi]
-			}
-			if hasCur && bi == cur && hyst > 0 && v.policy == core.PolicyFull {
-				score += hyst
-			}
-			if score > bestScore {
-				bestScore = score
-				bestIdx = bi
-			}
-		}
-	}
-	fallback := bestIdx < 0
-	if fallback {
-		bestIdx = 0
-		for bi := range kernelMS {
-			if kernelMS[bi] < kernelMS[bestIdx] {
-				bestIdx = bi
-			}
-		}
-	}
-	predMS := perFrame(bestIdx)
-	predAcc := acc[bestIdx]
-	branchName := e.models.Branches[bestIdx].String()
+	// Step 4: constrained optimization (Eq. 3).
+	ch := in.ChooseBranch()
+	predAcc := in.Acc[ch.Branch]
+	branchName := e.models.Branches[ch.Branch].String()
 
 	// Fidelity comparison against the recording.
 	var diverged []string
@@ -573,16 +460,16 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 	if !sameSet {
 		diverged = append(diverged, "features")
 	}
-	if feasible != d.FeasibleBranches {
+	if ch.Feasible != d.FeasibleBranches {
 		diverged = append(diverged, "feasible")
 	}
-	if fallback != d.Fallback {
+	if ch.Fallback != d.Fallback {
 		diverged = append(diverged, "fallback")
 	}
 	if predAcc != d.PredAccuracy {
 		diverged = append(diverged, "pred_acc")
 	}
-	if predMS != d.PredLatencyMS {
+	if ch.PredMS != d.PredLatencyMS {
 		diverged = append(diverged, "pred_lat")
 	}
 
@@ -593,27 +480,22 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 	if branchName != d.Branch || !sameSet {
 		ratio := 1.0
 		if d.RealizedMS > 0 && d.PredLatencyMS > 0 {
-			ratio = d.RealizedMS / d.PredLatencyMS
-			if ratio < 0.25 {
-				ratio = 0.25
-			} else if ratio > 4 {
-				ratio = 4
-			}
+			ratio = min(max(d.RealizedMS/d.PredLatencyMS, 0.25), 4)
 		}
-		estMS = predMS * ratio
+		estMS = ch.PredMS * ratio
 	}
 
 	rd := Redecision{
 		File: path, Stream: d.Stream, Gen: d.Gen, Seq: d.Seq,
-		SLOMS:        slo,
+		SLOMS:        in.SLOMS,
 		Branch:       branchName,
-		Feasible:     feasible,
-		Fallback:     fallback,
+		Feasible:     ch.Feasible,
+		Fallback:     ch.Fallback,
 		PredAcc:      predAcc,
-		PredMS:       predMS,
+		PredMS:       ch.PredMS,
 		EstMS:        estMS,
 		Frames:       d.GoFFrames,
-		Attained:     estMS <= slo,
+		Attained:     estMS <= in.SLOMS,
 		Diverged:     diverged,
 		MissingHeavy: missingHeavy,
 	}
@@ -624,116 +506,23 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 	// Chain state forward: the kernel leaves this GoF on the chosen
 	// branch, and the simulated watchdog reacts to the estimated
 	// realization the way ObserveGoF reacts to the real one.
-	*curIdx = bestIdx
+	*curIdx = ch.Branch
 	if branchName != d.Branch {
 		*chainDiverged = true
 	}
 	if e.cfg.Degrade == DegradeSim && d.GoFFrames > 0 {
-		if estMS > slo {
-			if *simLevel < core.MaxDegradeLevel {
-				*simLevel++
-			}
-		} else if *simLevel > 0 {
-			*simLevel--
-		}
+		*simLevel = core.LadderStep(*simLevel, estMS > in.SLOMS)
 	}
 	return rd, nil
 }
 
-// selectFeatures mirrors the cost-benefit analyzer (core.Scheduler
-// .selectFeatures) over the recorded prices and tables: the same greedy
-// loop, the same value function, the same operation order.
-func (e *Engine) selectFeatures(rp *obs.ReplayPayload, accLight, kernelMS []float64,
-	budget, slo, costW float64, hasCur, noSwitch bool,
-	switchMS func(int) float64, featCost func(feat.Kind) (float64, error)) ([]feat.Kind, error) {
-
-	safety := rp.SafetyFactor
-	if e.cfg.SafetyFactor > 0 {
-		safety = e.cfg.SafetyFactor
+// orRecorded returns the override when it is set, else the recorded
+// value.
+func orRecorded[T any](override *T, recorded T) T {
+	if override != nil {
+		return *override
 	}
-	s0 := rp.S0MS
-
-	value := func(set []feat.Kind) (float64, error) {
-		var fc float64
-		for _, kind := range set {
-			c, err := featCost(kind)
-			if err != nil {
-				return 0, err
-			}
-			fc += c
-		}
-		best := math.Inf(-1)
-		kernelBudget := 0.0
-		bestGoF := 1.0
-		for bi, b := range e.models.Branches {
-			over := s0 + fc
-			if hasCur && !noSwitch {
-				over += switchMS(bi)
-			}
-			pf := kernelMS[bi] + over/float64(b.GoF)
-			if pf > budget {
-				continue
-			}
-			if accLight[bi] > best {
-				best = accLight[bi]
-				bestGoF = float64(b.GoF)
-			}
-			if kb := budget - over/float64(b.GoF); kb > kernelBudget {
-				kernelBudget = kb
-			}
-		}
-		if math.IsInf(best, -1) {
-			return best, nil
-		}
-		v := best + e.models.Ben.SetBenefit(set, kernelBudget/safety)
-		if costW > 0 {
-			v -= costW * (fc / bestGoF) / budget
-		}
-		return v, nil
-	}
-
-	const stallFactor = 1.5
-	stallCap := stallFactor * slo
-
-	var set []feat.Kind
-	curVal, err := value(set)
-	if err != nil {
-		return nil, err
-	}
-	var remaining []feat.Kind
-	for _, k := range e.heavyKinds {
-		c, err := featCost(k)
-		if err != nil {
-			return nil, err
-		}
-		if c <= stallCap {
-			remaining = append(remaining, k)
-		}
-	}
-	var trial []feat.Kind
-	for len(remaining) > 0 {
-		bestIdx := -1
-		bestVal := curVal
-		for i, cand := range remaining {
-			trial = append(trial[:0], set...)
-			trial = append(trial, cand)
-			v, err := value(trial)
-			if err != nil {
-				return nil, err
-			}
-			if v > bestVal+1e-9 {
-				bestVal = v
-				bestIdx = i
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		set = append(set, remaining[bestIdx])
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		curVal = bestVal
-	}
-	return set, nil
+	return recorded
 }
 
 // equalKindNames reports whether the selected kinds equal the recorded

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"litereconfig/internal/core"
-	"litereconfig/internal/feat"
 	"litereconfig/internal/sched"
 )
 
@@ -86,66 +84,4 @@ type Config struct {
 	// Models only supplies the Ben table, branch space and content
 	// models for off-recording feature sets.
 	UseModelPredictions bool
-}
-
-// variant is the per-decision scheduler behavior derived from the
-// recorded policy name or the Config.Policy override.
-type variant struct {
-	policy core.Policy
-	forced feat.Kind
-}
-
-// parsePolicyName maps a recorded Decision.Policy string back to the
-// scheduler variant.
-func parsePolicyName(name string) (variant, error) {
-	switch name {
-	case "LiteReconfig":
-		return variant{policy: core.PolicyFull}, nil
-	case "LiteReconfig-MinCost":
-		return variant{policy: core.PolicyMinCost}, nil
-	case "LiteReconfig-MaxContent-ResNet":
-		return variant{policy: core.PolicyMaxContentResNet}, nil
-	case "LiteReconfig-MaxContent-MobileNet":
-		return variant{policy: core.PolicyMaxContentMobileNet}, nil
-	}
-	if rest, ok := strings.CutPrefix(name, "LiteReconfig-Force-"); ok {
-		k, kok := feat.KindByName(rest)
-		if !kok || !k.Heavy() {
-			return variant{}, fmt.Errorf("replay: unknown forced feature in policy %q", name)
-		}
-		return variant{policy: core.PolicyForceFeature, forced: k}, nil
-	}
-	return variant{}, fmt.Errorf("replay: unknown recorded policy %q", name)
-}
-
-// parsePolicyOverride maps a Config.Policy token to the variant.
-func parsePolicyOverride(s string) (variant, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "full", "litereconfig":
-		return variant{policy: core.PolicyFull}, nil
-	case "mincost":
-		return variant{policy: core.PolicyMinCost}, nil
-	case "maxcontent-resnet", "resnet":
-		return variant{policy: core.PolicyMaxContentResNet}, nil
-	case "maxcontent-mobilenet", "mobilenet":
-		return variant{policy: core.PolicyMaxContentMobileNet}, nil
-	}
-	if rest, ok := strings.CutPrefix(strings.ToLower(strings.TrimSpace(s)), "force-"); ok {
-		k, kok := feat.KindByName(rest)
-		if kok && k.Heavy() {
-			return variant{policy: core.PolicyForceFeature, forced: k}, nil
-		}
-	}
-	return variant{}, fmt.Errorf("replay: unknown policy override %q", s)
-}
-
-// manageOverhead reports the variant's overhead regime (mirrors
-// core.Scheduler: the greedy MaxContent/Force variants apply the SLO to
-// the kernel only).
-func (v variant) manageOverhead() bool {
-	switch v.policy {
-	case core.PolicyMaxContentResNet, core.PolicyMaxContentMobileNet, core.PolicyForceFeature:
-		return false
-	}
-	return true
 }

@@ -273,7 +273,7 @@ func TestWrongBundleFailsLoudly(t *testing.T) {
 // recording (PolicyRev 1, per-branch risk tables in the payload) must
 // identity-replay with zero divergence — each file under its own
 // recorded admission procedure — with no flags, no sniffing, nothing
-// but the versioned payload steering the mirror.
+// but the versioned payload steering the replay.
 func TestIdentityMixedRiskCorpus(t *testing.T) {
 	mean := recordServe(t, serve.Options{
 		Admission:    serve.AdmissionWFQ,
