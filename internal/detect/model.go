@@ -212,7 +212,11 @@ func detSeed(v *vid.Video, frame int, m Model, cfg Config) int64 {
 }
 
 // Detect runs one simulated detector pass on frame f of video v under
-// cfg and returns the detections, deterministically.
+// cfg and returns the detections. It is a pure function of (v, f, m,
+// cfg): the pass seeds its own source from them, so callers may run it
+// once and share the result (mbek.EvalBranchGroup does, across the
+// branches of one configuration). Callers must therefore treat the
+// returned slice as read-only.
 func (m Model) Detect(v *vid.Video, f vid.Frame, cfg Config) []metric.Detection {
 	rng := rand.New(fastrand.New(detSeed(v, f.Index, m, cfg)))
 	short := v.ShortSide()

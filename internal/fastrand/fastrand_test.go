@@ -59,20 +59,28 @@ func TestSourceBulkMethodsMatchMathRand(t *testing.T) {
 }
 
 // TestReseedRestartsStream checks that Seed on a used source gives the
-// stream of a fresh one, including words computed before the reseed.
+// stream of a fresh one, including words computed before the reseed:
+// every scalar method of the identity sequence (NormFloat64 and Intn
+// among them), then Shuffle. Reusing one source per tracker or kernel
+// relies on this.
 func TestReseedRestartsStream(t *testing.T) {
-	src := New(7)
-	r := rand.New(src)
+	r := rand.New(New(7))
 	for i := 0; i < 900; i++ {
 		r.Uint64()
 	}
-	for _, seed := range []int64{42, 0, -5} {
+	for _, seed := range []int64{42, 0, -5, 7, math.MaxInt64} {
 		r.Seed(seed)
 		want := rand.New(rand.NewSource(seed))
 		for i := 0; i < 700; i++ {
-			if w, g := want.Uint64(), r.Uint64(); w != g {
-				t.Fatalf("reseed %d: draw %d = %d, math/rand gives %d", seed, i, g, w)
+			if w, g := draw(want, i), draw(r, i); w != g {
+				t.Fatalf("reseed %d: draw %d (%s) = %v, math/rand gives %v", seed, i, drawName(i), g, w)
 			}
+		}
+		ws, gs := seq(100), seq(100)
+		want.Shuffle(len(ws), func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
+		r.Shuffle(len(gs), func(i, j int) { gs[i], gs[j] = gs[j], gs[i] })
+		if !slices.Equal(ws, gs) {
+			t.Fatalf("reseed %d: Shuffle = %v, math/rand gives %v", seed, gs, ws)
 		}
 	}
 }

@@ -26,9 +26,11 @@ type Kernel struct {
 	Det   detect.Model
 	Clock *simlat.Clock
 
-	video      *vid.Video
-	branch     Branch
-	hasBranch  bool
+	video     *vid.Video
+	branch    Branch
+	hasBranch bool
+	// tracker is reset in place at every GoF start that needs one, so
+	// it and its random source are allocated once per kernel.
 	tracker    *track.Tracker
 	frameInGoF int
 	// ColdMisses disables the online cold-miss outliers when false
@@ -79,7 +81,6 @@ func NewKernel(det detect.Model, clock *simlat.Clock) *Kernel {
 func (k *Kernel) Start(v *vid.Video) {
 	k.video = v
 	k.frameInGoF = 0
-	k.tracker = nil
 	k.hasBranch = false
 }
 
@@ -129,7 +130,6 @@ func (k *Kernel) SetBranch(b Branch, frameIdx int) float64 {
 	}
 	k.branch = b
 	k.hasBranch = true
-	k.tracker = nil
 	k.frameInGoF = 0
 	return cost
 }
@@ -149,20 +149,32 @@ func trackerSeed(v *vid.Video, frame int, b Branch) int64 {
 // the first frame of each GoF (re-initializing the tracker), a tracker
 // step on the rest. It returns the frame's detections.
 func (k *Kernel) ProcessFrame(f vid.Frame) []metric.Detection {
+	if k.hasBranch && k.frameInGoF == 0 {
+		return k.processFrame(f, k.Det.Detect(k.video, f, k.branch.DetConfig()))
+	}
+	return k.processFrame(f, nil)
+}
+
+// processFrame is ProcessFrame given the detector's output on f, which
+// it reads only at a GoF start and which must then be what k.Det.Detect
+// returns for f under the branch's configuration. EvalBranchGroup runs
+// that pass once for all the branches of one configuration.
+func (k *Kernel) processFrame(f vid.Frame, dets []metric.Detection) []metric.Detection {
 	if !k.hasBranch {
 		panic("mbek: ProcessFrame before SetBranch")
 	}
 	k.usedSet[k.branch]++
-	var dets []metric.Detection
 	if k.frameInGoF == 0 {
-		cfg := k.branch.DetConfig()
-		k.lastDetBaseMS = k.Det.CostMS(cfg)
+		k.lastDetBaseMS = k.Det.CostMS(k.branch.DetConfig())
 		k.detBaseTotalMS += k.lastDetBaseMS
 		k.lastDetActualMS = k.Clock.Charge(CompDetector, simlat.GPU, k.lastDetBaseMS)
-		dets = k.Det.Detect(k.video, f, cfg)
 		if k.branch.GoF > 1 {
-			k.tracker = track.New(k.branch.Tracker, k.branch.DS,
-				trackerSeed(k.video, f.Index, k.branch))
+			seed := trackerSeed(k.video, f.Index, k.branch)
+			if k.tracker == nil {
+				k.tracker = track.New(k.branch.Tracker, k.branch.DS, seed)
+			} else {
+				k.tracker.Reset(k.branch.Tracker, k.branch.DS, seed)
+			}
 			k.tracker.Init(f, dets)
 		}
 	} else {

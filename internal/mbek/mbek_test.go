@@ -211,6 +211,54 @@ func TestKernelPanicsOnMisuse(t *testing.T) {
 	}()
 }
 
+// TestEvalBranchGroupMatchesSingleBranches checks that sharing detector
+// passes across a group changes no branch's result: each branch of a
+// mixed group (detector-only, every tracker, several GoF sizes and ds,
+// with seeds that collide across branches) gives bit-identical metrics
+// and latency series to evaluating it alone.
+func TestEvalBranchGroupMatchesSingleBranches(t *testing.T) {
+	v := testVideo(9)
+	s := v.Snippets(60)[0]
+	bs := []Branch{{Shape: 320, NProp: 20, GoF: 1, Tracker: track.KCF, DS: 1}}
+	var seeds []int64
+	for _, tk := range track.Kinds() {
+		for _, gof := range []int{2, 4, 20} {
+			for _, ds := range []int{1, 4} {
+				bs = append(bs, Branch{Shape: 320, NProp: 20, Tracker: tk, GoF: gof, DS: ds})
+			}
+		}
+	}
+	for i := range bs {
+		seeds = append(seeds, int64(11+i%5))
+	}
+	evs, series := EvalBranchGroup(detect.FasterRCNN, s, bs, simlat.TX2, 0.2, seeds)
+	for i, b := range bs {
+		ev, ser := EvalBranchGroup(detect.FasterRCNN, s, []Branch{b}, simlat.TX2, 0.2, seeds[i:i+1])
+		if evs[i] != ev[0] {
+			t.Fatalf("%v: in group %+v, alone %+v", b, evs[i], ev[0])
+		}
+		if len(series[i]) != len(ser[0]) {
+			t.Fatalf("%v: series length %d in group, %d alone", b, len(series[i]), len(ser[0]))
+		}
+		for j := range ser[0] {
+			if math.Float64bits(series[i][j]) != math.Float64bits(ser[0][j]) {
+				t.Fatalf("%v: frame %d latency %v in group, %v alone", b, j, series[i][j], ser[0][j])
+			}
+		}
+	}
+}
+
+func TestEvalBranchGroupRejectsMixedDetectorConfigs(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a group mixing detector configurations should panic")
+		}
+	}()
+	v := testVideo(9)
+	bs := []Branch{{Shape: 320, NProp: 20, GoF: 1}, {Shape: 320, NProp: 100, GoF: 1}}
+	EvalBranchGroup(detect.FasterRCNN, v.Snippets(30)[0], bs, simlat.TX2, 0, []int64{1, 2})
+}
+
 func TestEvalBranchDeterministicAndSane(t *testing.T) {
 	v := testVideo(5)
 	s := v.Snippets(30)[0]

@@ -30,9 +30,12 @@ type FrameResult struct {
 const DefaultIoU = 0.5
 
 // flatDet is a detection flattened across frames for the ranked sweep.
+// pos is the entry's input position, a sort key that sortRanked sets
+// and clears.
 type flatDet struct {
 	frame int
 	det   Detection
+	pos   int
 }
 
 // APResult holds the per-class average precision and ground-truth count.
@@ -44,64 +47,106 @@ type APResult struct {
 
 // PerClassAP computes VOC-style average precision per class over the
 // given frames at the given IoU threshold. Classes with no ground truth
-// are omitted from the result.
+// are omitted from the result. Every truth and detection class must be
+// valid (vid.Class.Valid).
 func PerClassAP(frames []FrameResult, iouThresh float64) map[vid.Class]APResult {
-	// Gather per-class ground truth counts and detections.
-	truthCount := map[vid.Class]int{}
-	dets := map[vid.Class][]flatDet{}
-	for fi, fr := range frames {
+	per := perClassAP(frames, iouThresh)
+	out := make(map[vid.Class]APResult)
+	for cls, r := range per {
+		if r.Truths > 0 {
+			out[vid.Class(cls)] = r
+		}
+	}
+	return out
+}
+
+// perClassAP is PerClassAP indexed by class; classes with no ground
+// truth hold the zero APResult.
+func perClassAP(frames []FrameResult, iouThresh float64) (out [vid.NumClasses]APResult) {
+	// Count ground truth and detections per class, then bucket the
+	// detections by class in input order: bucket c is
+	// dets[start[c]:start[c+1]].
+	var start [vid.NumClasses + 1]int
+	for _, fr := range frames {
 		for _, o := range fr.Truth {
-			truthCount[o.Class]++
+			out[o.Class].Truths++
 		}
 		for _, d := range fr.Dets {
-			dets[d.Class] = append(dets[d.Class], flatDet{frame: fi, det: d})
+			start[d.Class+1]++
+		}
+	}
+	for c := 1; c <= vid.NumClasses; c++ {
+		start[c] += start[c-1]
+	}
+	dets := make([]flatDet, start[vid.NumClasses])
+	next := start
+	for fi, fr := range frames {
+		for _, d := range fr.Dets {
+			dets[next[d.Class]] = flatDet{frame: fi, det: d}
+			next[d.Class]++
 		}
 	}
 
-	out := make(map[vid.Class]APResult, len(truthCount))
-	for cls, n := range truthCount {
-		sortRanked(dets[cls])
-		ap, matched := classAP(frames, dets[cls], cls, n, iouThresh)
-		out[cls] = APResult{AP: ap, Truths: n, Matched: matched}
+	for cls := range out {
+		n := out[cls].Truths
+		if n == 0 {
+			continue
+		}
+		ds := dets[start[cls]:start[cls+1]]
+		sortRanked(ds)
+		out[cls].AP, out[cls].Matched = classAP(frames, ds, vid.Class(cls), n, iouThresh)
 	}
 	return out
 }
 
 // sortRanked orders detections by descending score, ties broken by
-// ascending frame; the stable sort keeps ties within a frame in input
-// order, so the ranking is deterministic.
+// ascending frame and then by input position: the order a stable sort
+// on (score, frame) gives. Numbering the entries makes that order total,
+// so pdqsort reaches it without a stable sort's O(n log² n) merging; the
+// numbers are cleared afterwards, leaving each entry as it came in.
 func sortRanked(ds []flatDet) {
-	slices.SortStableFunc(ds, func(a, b flatDet) int {
+	for i := range ds {
+		ds[i].pos = i
+	}
+	slices.SortFunc(ds, func(a, b flatDet) int {
 		if a.det.Score != b.det.Score {
 			if a.det.Score > b.det.Score {
 				return -1
 			}
 			return 1
 		}
-		return cmp.Compare(a.frame, b.frame)
+		if c := cmp.Compare(a.frame, b.frame); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
 	})
+	for i := range ds {
+		ds[i].pos = 0
+	}
 }
 
 // classAP runs the greedy matching sweep for one class over ds, which
 // sortRanked has ordered.
 func classAP(frames []FrameResult, ds []flatDet, cls vid.Class, nTruth int, iouThresh float64) (ap float64, matched int) {
-	if nTruth == 0 {
+	if nTruth == 0 || len(ds) == 0 {
 		return 0, 0
 	}
 
-	// used[frame] marks ground-truth objects already claimed.
-	used := make(map[int][]bool, len(frames))
-	tp := make([]int, 0, len(ds))
-	fp := make([]int, 0, len(ds))
+	// used marks ground-truth objects already claimed; frame fi's
+	// objects are used[off[fi]:off[fi+1]].
+	off := make([]int, len(frames)+1)
+	for fi, fr := range frames {
+		off[fi+1] = off[fi] + len(fr.Truth)
+	}
+	used := make([]bool, off[len(frames)])
+	// prec[k] is the precision at the (k+1)-th true positive.
+	prec := make([]float64, 0, nTruth)
 	cumTP, cumFP := 0, 0
 	for _, fd := range ds {
-		fr := frames[fd.frame]
-		if used[fd.frame] == nil {
-			used[fd.frame] = make([]bool, len(fr.Truth))
-		}
+		truth := frames[fd.frame].Truth
 		bestIoU := 0.0
 		bestIdx := -1
-		for gi, o := range fr.Truth {
+		for gi, o := range truth {
 			if o.Class != cls {
 				continue
 			}
@@ -111,61 +156,51 @@ func classAP(frames []FrameResult, ds []flatDet, cls vid.Class, nTruth int, iouT
 				bestIdx = gi
 			}
 		}
-		if bestIdx >= 0 && bestIoU >= iouThresh && !used[fd.frame][bestIdx] {
-			used[fd.frame][bestIdx] = true
+		if bestIdx >= 0 && bestIoU >= iouThresh && !used[off[fd.frame]+bestIdx] {
+			used[off[fd.frame]+bestIdx] = true
 			cumTP++
+			prec = append(prec, float64(cumTP)/float64(cumTP+cumFP))
 		} else {
 			cumFP++
 		}
-		tp = append(tp, cumTP)
-		fp = append(fp, cumFP)
 	}
-	matched = cumTP
 
-	// Precision/recall curve with the monotone precision envelope
-	// (all-point interpolation, as in the post-2010 VOC protocol).
-	n := len(tp)
-	if n == 0 {
-		return 0, 0
-	}
-	prec := make([]float64, n)
-	rec := make([]float64, n)
-	for i := 0; i < n; i++ {
-		prec[i] = float64(tp[i]) / float64(tp[i]+fp[i])
-		rec[i] = float64(tp[i]) / float64(nTruth)
-	}
-	// Envelope: precision at recall r is the max precision at recall >= r.
-	for i := n - 2; i >= 0; i-- {
-		if prec[i] < prec[i+1] {
-			prec[i] = prec[i+1]
+	// All-point interpolated AP (the post-2010 VOC protocol): the sum
+	// over ranks of the recall step times the precision envelope, the
+	// max precision at any later rank. Only true positives step the
+	// recall; a false positive's term is exactly +0 and leaves the sum
+	// unchanged, and its precision is below the preceding true
+	// positive's, so it never raises the envelope either.
+	for k := len(prec) - 2; k >= 0; k-- {
+		if prec[k] < prec[k+1] {
+			prec[k] = prec[k+1]
 		}
 	}
 	prevRec := 0.0
-	for i := 0; i < n; i++ {
-		ap += (rec[i] - prevRec) * prec[i]
-		prevRec = rec[i]
+	for k, p := range prec {
+		rec := float64(k+1) / float64(nTruth)
+		ap += (rec - prevRec) * p
+		prevRec = rec
 	}
-	return ap, matched
+	return ap, cumTP
 }
 
 // MeanAP computes the mean of the per-class APs (the paper's mAP metric)
-// over the given frames. Frames with no ground truth anywhere yield 0.
+// over the given frames, whose classes must be valid as for PerClassAP.
+// Frames with no ground truth anywhere yield 0.
 func MeanAP(frames []FrameResult, iouThresh float64) float64 {
-	per := PerClassAP(frames, iouThresh)
-	if len(per) == 0 {
+	// Sum in ascending class order: float addition is not associative,
+	// so a fixed order keeps mAP identical across calls.
+	var sum float64
+	classes := 0
+	for _, r := range perClassAP(frames, iouThresh) {
+		if r.Truths > 0 {
+			sum += r.AP
+			classes++
+		}
+	}
+	if classes == 0 {
 		return 0
 	}
-	// Sum in sorted class order: map iteration order is random and float
-	// addition is not associative, so an unordered sum would make mAP
-	// differ in the last ulp across calls on identical inputs.
-	classes := make([]vid.Class, 0, len(per))
-	for cls := range per {
-		classes = append(classes, cls)
-	}
-	slices.Sort(classes)
-	var sum float64
-	for _, cls := range classes {
-		sum += per[cls].AP
-	}
-	return sum / float64(len(per))
+	return sum / float64(classes)
 }

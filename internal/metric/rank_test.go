@@ -1,6 +1,7 @@
 package metric
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -72,6 +73,89 @@ func TestPerClassAPMatchesLegacyRanking(t *testing.T) {
 			ap, matched := classAP(frames, ranked, cls, n, DefaultIoU)
 			if want := (APResult{AP: ap, Truths: n, Matched: matched}); got[cls] != want {
 				t.Fatalf("trial %d class %v: PerClassAP = %+v, legacy ranking gives %+v", trial, cls, got[cls], want)
+			}
+		}
+	}
+}
+
+// curveAP is classAP computed the textbook way: cumulative TP/FP counts
+// at every rank, the full precision/recall curve, its monotone envelope
+// and the recall-step sum over every rank.
+func curveAP(frames []FrameResult, ds []flatDet, cls vid.Class, nTruth int, iouThresh float64) (ap float64, matched int) {
+	used := map[int][]bool{}
+	var tp, fp []int
+	cumTP, cumFP := 0, 0
+	for _, fd := range ds {
+		fr := frames[fd.frame]
+		if used[fd.frame] == nil {
+			used[fd.frame] = make([]bool, len(fr.Truth))
+		}
+		bestIoU, bestIdx := 0.0, -1
+		for gi, o := range fr.Truth {
+			if o.Class == cls {
+				if iou := fd.det.Box.IoU(o.Box); iou > bestIoU {
+					bestIoU, bestIdx = iou, gi
+				}
+			}
+		}
+		if bestIdx >= 0 && bestIoU >= iouThresh && !used[fd.frame][bestIdx] {
+			used[fd.frame][bestIdx] = true
+			cumTP++
+		} else {
+			cumFP++
+		}
+		tp = append(tp, cumTP)
+		fp = append(fp, cumFP)
+	}
+	n := len(tp)
+	if nTruth == 0 || n == 0 {
+		return 0, 0
+	}
+	prec := make([]float64, n)
+	rec := make([]float64, n)
+	for i := range prec {
+		prec[i] = float64(tp[i]) / float64(tp[i]+fp[i])
+		rec[i] = float64(tp[i]) / float64(nTruth)
+	}
+	for i := n - 2; i >= 0; i-- {
+		if prec[i] < prec[i+1] {
+			prec[i] = prec[i+1]
+		}
+	}
+	prevRec := 0.0
+	for i := range prec {
+		ap += (rec[i] - prevRec) * prec[i]
+		prevRec = rec[i]
+	}
+	return ap, cumTP
+}
+
+// TestClassAPMatchesPrecisionRecallCurve checks that summing over true
+// positives only gives the full curve's AP bit for bit.
+func TestClassAPMatchesPrecisionRecallCurve(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 300; trial++ {
+		frames := tiedScene(rng, 1+rng.Intn(40))
+		for cls := vid.Class(0); cls < 3; cls++ {
+			var ds []flatDet
+			n := 0
+			for fi, fr := range frames {
+				for _, o := range fr.Truth {
+					if o.Class == cls {
+						n++
+					}
+				}
+				for _, d := range fr.Dets {
+					if d.Class == cls {
+						ds = append(ds, flatDet{frame: fi, det: d})
+					}
+				}
+			}
+			sortRanked(ds)
+			ap, m := classAP(frames, ds, cls, n, DefaultIoU)
+			wantAP, wantM := curveAP(frames, ds, cls, n, DefaultIoU)
+			if math.Float64bits(ap) != math.Float64bits(wantAP) || m != wantM {
+				t.Fatalf("trial %d class %v: classAP = (%v, %d), full curve gives (%v, %d)", trial, cls, ap, m, wantAP, wantM)
 			}
 		}
 	}

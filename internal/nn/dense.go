@@ -82,13 +82,8 @@ func (d *Dense) Forward(x []float64) []float64 {
 	}
 	d.ensureBuffers()
 	d.x = x
-	for o := 0; o < d.Out; o++ {
-		sum := d.B[o]
-		row := d.W[o*d.In : (o+1)*d.In]
-		for i, xi := range x {
-			sum += row[i] * xi
-		}
-		d.preact[o] = sum
+	d.affine(d.preact, x)
+	for o, sum := range d.preact {
 		if d.ReLU && sum < 0 {
 			sum = 0
 		}
@@ -106,44 +101,118 @@ func (d *Dense) Infer(dst, x []float64) []float64 {
 		panic(fmt.Sprintf("nn: dense infer got %d inputs into %d outputs, want %dx%d",
 			len(x), len(dst), d.In, d.Out))
 	}
-	for o := 0; o < d.Out; o++ {
+	d.affine(dst, x)
+	if d.ReLU {
+		for o, sum := range dst {
+			if sum < 0 {
+				dst[o] = 0
+			}
+		}
+	}
+	return dst
+}
+
+// affine writes W·x + B into dst. Output o's sum starts at B[o] and adds
+// W[o][i]·x[i] in ascending i, as a plain loop does. Four rows share
+// each pass over x: their four chains are independent, so interleaving
+// them lets the additions overlap without reordering any of them.
+func (d *Dense) affine(dst, x []float64) {
+	in := len(x)
+	o := 0
+	for ; o+4 <= d.Out; o += 4 {
+		r0 := d.W[o*in:][:in]
+		r1 := d.W[(o+1)*in:][:in]
+		r2 := d.W[(o+2)*in:][:in]
+		r3 := d.W[(o+3)*in:][:in]
+		s0, s1, s2, s3 := d.B[o], d.B[o+1], d.B[o+2], d.B[o+3]
+		for i, xi := range x {
+			s0 += r0[i] * xi
+			s1 += r1[i] * xi
+			s2 += r2[i] * xi
+			s3 += r3[i] * xi
+		}
+		dst[o], dst[o+1], dst[o+2], dst[o+3] = s0, s1, s2, s3
+	}
+	for ; o < d.Out; o++ {
+		row := d.W[o*in:][:in]
 		sum := d.B[o]
-		row := d.W[o*d.In : (o+1)*d.In]
 		for i, xi := range x {
 			sum += row[i] * xi
 		}
-		if d.ReLU && sum < 0 {
-			sum = 0
-		}
 		dst[o] = sum
 	}
-	return dst
 }
 
 // Backward takes the gradient of the loss w.r.t. the layer output,
 // accumulates parameter gradients, and returns the gradient w.r.t. the
 // layer input. Must follow a Forward call.
+//
+// Rows whose ReLU was inactive (pre-activation <= 0) contribute nothing.
+// The active rows fold into gx four per pass, in ascending row order, so
+// every gx[i] takes its additions in the order a row-by-row loop would.
 func (d *Dense) Backward(gout []float64) []float64 {
 	if len(gout) != d.Out {
 		panic(fmt.Sprintf("nn: dense backward got %d grads, want %d", len(gout), d.Out))
 	}
-	for i := range d.gx {
-		d.gx[i] = 0
-	}
+	clear(d.gx)
+	var act [4]int
+	n := 0
 	for o := 0; o < d.Out; o++ {
-		g := gout[o]
 		if d.ReLU && d.preact[o] <= 0 {
 			continue
 		}
-		d.gb[o] += g
-		row := d.W[o*d.In : (o+1)*d.In]
-		grow := d.gw[o*d.In : (o+1)*d.In]
-		for i, xi := range d.x {
-			grow[i] += g * xi
-			d.gx[i] += g * row[i]
+		act[n] = o
+		n++
+		if n == len(act) {
+			d.backward4(gout, act)
+			n = 0
 		}
 	}
+	for _, o := range act[:n] {
+		d.backward1(gout[o], o)
+	}
 	return d.gx
+}
+
+// backward4 accumulates the gradients of the four active rows in act,
+// which ascend.
+func (d *Dense) backward4(gout []float64, act [4]int) {
+	in := d.In
+	x, gx := d.x[:in], d.gx[:in]
+	o0, o1, o2, o3 := act[0], act[1], act[2], act[3]
+	g0, g1, g2, g3 := gout[o0], gout[o1], gout[o2], gout[o3]
+	d.gb[o0] += g0
+	d.gb[o1] += g1
+	d.gb[o2] += g2
+	d.gb[o3] += g3
+	r0, w0 := d.W[o0*in:][:in], d.gw[o0*in:][:in]
+	r1, w1 := d.W[o1*in:][:in], d.gw[o1*in:][:in]
+	r2, w2 := d.W[o2*in:][:in], d.gw[o2*in:][:in]
+	r3, w3 := d.W[o3*in:][:in], d.gw[o3*in:][:in]
+	for i, xi := range x {
+		w0[i] += g0 * xi
+		w1[i] += g1 * xi
+		w2[i] += g2 * xi
+		w3[i] += g3 * xi
+		s := gx[i]
+		s += g0 * r0[i]
+		s += g1 * r1[i]
+		s += g2 * r2[i]
+		s += g3 * r3[i]
+		gx[i] = s
+	}
+}
+
+// backward1 accumulates the gradients of active row o.
+func (d *Dense) backward1(g float64, o int) {
+	in := d.In
+	x, gx := d.x[:in], d.gx[:in]
+	d.gb[o] += g
+	row, grow := d.W[o*in:][:in], d.gw[o*in:][:in]
+	for i, xi := range x {
+		grow[i] += g * xi
+		gx[i] += g * row[i]
+	}
 }
 
 // Step applies one SGD-with-momentum update using the gradients

@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+
+	"litereconfig/internal/fastrand"
 )
 
 // Net is a plain multilayer perceptron: dense layers with ReLU on all but
@@ -18,7 +20,7 @@ func NewNet(seed int64, sizes ...int) *Net {
 	if len(sizes) < 2 {
 		panic("nn: need at least input and output sizes")
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(fastrand.New(seed))
 	n := &Net{}
 	for i := 0; i+1 < len(sizes); i++ {
 		relu := i+2 < len(sizes)
@@ -131,7 +133,7 @@ type TwoTowerConfig struct {
 
 // NewTwoTower builds the two-tower network.
 func NewTwoTower(cfg TwoTowerConfig) *TwoTower {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(fastrand.New(cfg.Seed))
 	t := &TwoTower{
 		ProjA: NewDense(cfg.InA, cfg.ProjDim, false, rng),
 		ProjB: NewDense(cfg.InB, cfg.ProjDim, false, rng),

@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+
+	"litereconfig/internal/fastrand"
 )
 
 // Trainer holds the supervised training recipe from Sec. 4 of the paper:
@@ -85,7 +87,7 @@ func (tr Trainer) run(n, outDim int,
 	forward func(i int, grad []float64) float64,
 	step func(lr, momentum, l2 float64, batch int)) []float64 {
 
-	rng := rand.New(rand.NewSource(tr.Seed))
+	rng := rand.New(fastrand.New(tr.Seed))
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i

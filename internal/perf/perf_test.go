@@ -269,3 +269,23 @@ func TestLowestMedianRepPicksByMedian(t *testing.T) {
 		t.Fatalf("no reps picked %v, want nil", got)
 	}
 }
+
+var allocSink []byte
+
+// TestMeasureAllocsRoundsUp checks that a single allocation in a long
+// run is reported, and that between's allocations are not counted.
+func TestMeasureAllocsRoundsUp(t *testing.T) {
+	i := 0
+	allocs, bytes := measureAllocs(nil,
+		func() bool {
+			i++
+			if i == 150 {
+				allocSink = make([]byte, 64)
+			}
+			return i <= 300
+		},
+		func() { allocSink = make([]byte, 4096) })
+	if allocs != 1 || bytes != 1 {
+		t.Fatalf("one 64-byte allocation in 300 ops = %d allocs, %d B per op; want 1, 1", allocs, bytes)
+	}
+}

@@ -138,10 +138,12 @@ func snippetsOf(v *vid.Video, length, stride int) []vid.Snippet {
 // Sec. 5.2).
 //
 // The samples and their features are built serially; the (snippet,
-// branch) evaluations then run on GOMAXPROCS workers. Each evaluation
-// is seeded from its own (video, snippet, branch) index and writes only
-// its own branch slot of its sample, so the dataset is bit-identical
-// whatever the worker count or schedule.
+// detector configuration) units then run on GOMAXPROCS workers. A unit
+// evaluates every branch of its configuration with one detector pass
+// per frame (mbek.EvalBranchGroup). Branch bi of snippet si of video vi
+// is seeded Seed + vi·100003 + si·307 + bi and writes only its own
+// branch slot of its sample, so the dataset is bit-identical whatever
+// the worker count or schedule.
 func Collect(cfg Config, videos []*vid.Video) *Dataset {
 	cfg.applyDefaults()
 	ex := feat.NewExtractor(cfg.Seed)
@@ -169,17 +171,48 @@ func Collect(cfg Config, videos []*vid.Video) *Dataset {
 			ds.Samples = append(ds.Samples, sample)
 		}
 	}
-	parallelFor(len(snips)*len(cfg.Branches), func(i int) {
-		si, bi := i/len(cfg.Branches), i%len(cfg.Branches)
-		b := cfg.Branches[bi]
-		ev, series := mbek.EvalBranchSeries(cfg.Det, snips[si].s, b, cfg.Device, 0, snips[si].seed+int64(bi))
-		sample := &ds.Samples[si]
-		sample.MAP[bi] = ev.MAP
-		sample.DetMS[bi] = ev.DetMS
-		sample.TrkMS[bi] = ev.TrkMS
-		sample.WinMS[bi] = windowMeans(series, b.GoF)
+	groups := detConfigGroups(cfg.Branches)
+	parallelFor(len(snips)*len(groups), func(i int) {
+		sn, g := snips[i/len(groups)], groups[i%len(groups)]
+		seeds := make([]int64, len(g.idx))
+		for j, bi := range g.idx {
+			seeds[j] = sn.seed + int64(bi)
+		}
+		evs, series := mbek.EvalBranchGroup(cfg.Det, sn.s, g.branches, cfg.Device, 0, seeds)
+		sample := &ds.Samples[i/len(groups)]
+		for j, bi := range g.idx {
+			sample.MAP[bi] = evs[j].MAP
+			sample.DetMS[bi] = evs[j].DetMS
+			sample.TrkMS[bi] = evs[j].TrkMS
+			sample.WinMS[bi] = windowMeans(series[j], g.branches[j].GoF)
+		}
 	})
 	return ds
+}
+
+// branchGroup is the branches of one detector configuration and their
+// indices in the branch space.
+type branchGroup struct {
+	branches []mbek.Branch
+	idx      []int
+}
+
+// detConfigGroups partitions branches by detector configuration, groups
+// in order of first appearance, each in branch order.
+func detConfigGroups(branches []mbek.Branch) []branchGroup {
+	var groups []branchGroup
+	at := map[detect.Config]int{}
+	for bi, b := range branches {
+		gi, ok := at[b.DetConfig()]
+		if !ok {
+			gi = len(groups)
+			at[b.DetConfig()] = gi
+			groups = append(groups, branchGroup{})
+		}
+		groups[gi].branches = append(groups[gi].branches, b)
+		groups[gi].idx = append(groups[gi].idx, bi)
+	}
+	return groups
 }
 
 // parallelFor runs fn(0) … fn(n-1) on GOMAXPROCS workers and returns

@@ -90,3 +90,32 @@ func TestParallelForVisitsEveryIndexOnce(t *testing.T) {
 		}
 	}
 }
+
+// Digests of tinyConfig's dataset and model (Epochs 200, six 80-frame
+// videos), recorded before the label cells shared detector passes and
+// before mAP scoring and the dense kernels were restructured. Every one
+// of those changes claims bit-identical output; a change that moves any
+// label, feature or prediction bit fails here even when it moves them
+// the same way at every worker count.
+const (
+	goldenDatasetDigest uint64 = 0xc4eb8d5d5ac7f9d6
+	goldenModelDigest   uint64 = 0x87f842a85e85c207
+)
+
+// TestCollectTrainDigestGolden pins set-up output across commits.
+func TestCollectTrainDigestGolden(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Epochs = 200
+	videos := trainVideos(6, 80)
+	ds := Collect(cfg, videos)
+	m, err := Train(cfg, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := datasetDigest(ds); got != goldenDatasetDigest {
+		t.Errorf("dataset digest %#x, want %#x", got, goldenDatasetDigest)
+	}
+	if got := modelDigest(m, ds); got != goldenModelDigest {
+		t.Errorf("model digest %#x, want %#x", got, goldenModelDigest)
+	}
+}

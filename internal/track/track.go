@@ -15,6 +15,7 @@ package track
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"litereconfig/internal/fastrand"
 	"litereconfig/internal/geom"
@@ -142,15 +143,31 @@ type Tracker struct {
 	ds   int
 	rng  *rand.Rand
 	objs []tracked
+
+	// Init's scratch, kept so re-initializing allocates nothing: the
+	// association order and the IDs of the objects already claimed.
+	order []int
+	taken []int
 }
 
 // New creates a tracker of the given kind and downsampling ratio. The
 // seed fixes the stochastic drift/failure realization.
 func New(kind Kind, ds int, seed int64) *Tracker {
+	t := &Tracker{rng: rand.New(fastrand.New(seed))}
+	t.Reset(kind, ds, seed)
+	return t
+}
+
+// Reset makes t the tracker New(kind, ds, seed) returns, reusing its
+// buffers and reseeding its random source in place (the reseeded
+// stream is a fresh source's, draw for draw).
+func (t *Tracker) Reset(kind Kind, ds int, seed int64) {
 	if ds < 1 {
 		ds = 1
 	}
-	return &Tracker{kind: kind, ds: ds, rng: rand.New(fastrand.New(seed))}
+	t.kind, t.ds = kind, ds
+	t.rng.Seed(seed)
+	t.objs = t.objs[:0]
 }
 
 // Kind returns the tracker algorithm.
@@ -165,12 +182,12 @@ func (t *Tracker) NumTracked() int { return len(t.objs) }
 // ghosts that drift without a target.
 func (t *Tracker) Init(f vid.Frame, dets []metric.Detection) {
 	t.objs = t.objs[:0]
-	taken := map[int]bool{}
+	taken := t.taken[:0]
 	// Associate in descending score order so confident detections claim
 	// their objects first.
-	order := make([]int, len(dets))
-	for i := range order {
-		order[i] = i
+	order := t.order[:0]
+	for i := range dets {
+		order = append(order, i)
 	}
 	for i := 0; i < len(order); i++ {
 		for j := i + 1; j < len(order); j++ {
@@ -184,7 +201,7 @@ func (t *Tracker) Init(f vid.Frame, dets []metric.Detection) {
 		bestIoU, bestID := 0.0, -1
 		var bestObj vid.Object
 		for _, o := range f.Objects {
-			if taken[o.ID] {
+			if slices.Contains(taken, o.ID) {
 				continue
 			}
 			if iou := d.Box.IoU(o.Box); iou > bestIoU {
@@ -193,7 +210,7 @@ func (t *Tracker) Init(f vid.Frame, dets []metric.Detection) {
 		}
 		tr := tracked{det: d, gtID: -1}
 		if bestID >= 0 && bestIoU >= 0.3 {
-			taken[bestID] = true
+			taken = append(taken, bestID)
 			tr.gtID = bestID
 			// The tracker's error relative to the target starts at the
 			// detector's localization error.
@@ -206,6 +223,7 @@ func (t *Tracker) Init(f vid.Frame, dets []metric.Detection) {
 		}
 		t.objs = append(t.objs, tr)
 	}
+	t.order, t.taken = order, taken
 }
 
 // Step propagates all boxes to frame f of video v and returns the
@@ -214,10 +232,6 @@ func (t *Tracker) Step(v *vid.Video, f vid.Frame) []metric.Detection {
 	p := ParamsOf(t.kind)
 	clutter := v.Profile.Clutter
 	dsf := dsDriftFactor(t.ds)
-	byID := make(map[int]vid.Object, len(f.Objects))
-	for _, o := range f.Objects {
-		byID[o.ID] = o
-	}
 
 	out := make([]metric.Detection, 0, len(t.objs))
 	for i := range t.objs {
@@ -225,7 +239,7 @@ func (t *Tracker) Step(v *vid.Video, f vid.Frame) []metric.Detection {
 		// Confidence decays as the track ages.
 		tr.det.Score *= 0.985
 
-		o, present := byID[tr.gtID]
+		o, present := objectByID(f.Objects, tr.gtID)
 		switch {
 		case tr.gtID < 0 || tr.lost || !present:
 			// Ghost, lost, or occluded target: coast on the last velocity
@@ -261,6 +275,16 @@ func (t *Tracker) Step(v *vid.Video, f vid.Frame) []metric.Detection {
 		}
 	}
 	return out
+}
+
+// objectByID returns the last object in objs with the given ID.
+func objectByID(objs []vid.Object, id int) (vid.Object, bool) {
+	for i := len(objs) - 1; i >= 0; i-- {
+		if objs[i].ID == id {
+			return objs[i], true
+		}
+	}
+	return vid.Object{}, false
 }
 
 // geomRect is a local constructor avoiding an import rename.
