@@ -4,19 +4,22 @@
 // Table 3 (accuracy-optimized baselines), Table 4 (per-feature
 // effectiveness), Figure 2 (motivation curve), Figure 3 (latency
 // breakdown), Figure 4 (branch coverage), Figure 5 (switching-cost
-// heatmaps).
+// heatmaps), plus the design ablations (DESIGN.md §5).
 //
 // Usage:
 //
 //	lrbench -exp table2           # one experiment
 //	lrbench -exp all              # everything
 //	lrbench -exp table2 -scale small   # quick, small fixture
+//
+// Stdout is deterministic: `-scale small` and `-scale full` reproduce
+// internal/report/testdata/paper_{small,full}.golden byte for byte.
 package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
+	"os"
 	"strings"
 	"time"
 
@@ -28,95 +31,34 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lrbench: ")
 
-	exp := flag.String("exp", "all", "experiment: table1, table2, table3, table4, fig2, fig3, fig4, fig5 or all")
+	exp := flag.String("exp", "all", "comma-separated experiments: table1..table4, fig2..fig5, ablations or all")
 	scale := flag.String("scale", "full", "fixture scale: small (seconds) or full (tens of seconds)")
 	flag.Parse()
 
-	var set *fixture.Setup
-	var err error
-	t0 := time.Now()
-	switch *scale {
-	case "small":
-		set, err = fixture.Small()
-	case "full":
-		set, err = fixture.Full()
-	default:
+	build := map[string]func() (*fixture.Setup, error){"small": fixture.Small, "full": fixture.Full}[*scale]
+	if build == nil {
 		log.Fatalf("unknown scale %q", *scale)
 	}
+	t0 := time.Now()
+	set, err := build()
 	if err != nil {
 		log.Fatalf("fixture: %v", err)
 	}
 	log.Printf("fixture ready in %v (%d branches, %d val videos)",
 		time.Since(t0).Round(time.Millisecond), len(set.Models.Branches), len(set.Corpus.Val))
 
-	wanted := map[string]bool{}
+	var names []string
 	for _, e := range strings.Split(*exp, ",") {
-		wanted[strings.TrimSpace(e)] = true
+		names = append(names, strings.TrimSpace(e))
 	}
-	all := wanted["all"]
-	run := func(name string, fn func() (string, error)) {
-		if !all && !wanted[name] {
-			return
-		}
-		t := time.Now()
-		out, err := fn()
-		if err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
-		fmt.Printf("\n%s\n", out)
-		log.Printf("%s done in %v", name, time.Since(t).Round(time.Millisecond))
+	res, err := report.Run(set, names)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	run("table1", func() (string, error) {
-		return report.FormatTable1(report.RunTable1()), nil
-	})
-	run("table2", func() (string, error) {
-		rows, err := report.RunTable2(set, nil)
-		if err != nil {
-			return "", err
-		}
-		return report.FormatTable2(rows), nil
-	})
-	run("table3", func() (string, error) {
-		rows, err := report.RunTable3(set)
-		if err != nil {
-			return "", err
-		}
-		return report.FormatTable3(rows), nil
-	})
-	run("table4", func() (string, error) {
-		rows, err := report.RunTable4(set)
-		if err != nil {
-			return "", err
-		}
-		return report.FormatTable4(rows), nil
-	})
-	run("fig2", func() (string, error) {
-		pts, err := report.RunFig2(set)
-		if err != nil {
-			return "", err
-		}
-		return report.FormatFig2(pts), nil
-	})
-	run("fig3", func() (string, error) {
-		rows, err := report.RunFig3(set)
-		if err != nil {
-			return "", err
-		}
-		return report.FormatFig3(rows), nil
-	})
-	run("fig4", func() (string, error) {
-		rows, err := report.RunFig4(set)
-		if err != nil {
-			return "", err
-		}
-		return report.FormatFig4(rows), nil
-	})
-	run("fig5", func() (string, error) {
-		d, err := report.RunFig5(set)
-		if err != nil {
-			return "", err
-		}
-		return report.FormatFig5(d), nil
-	})
+	for i, name := range res.Names {
+		log.Printf("%s done in %v", name, res.Elapsed[i].Round(time.Millisecond))
+	}
+	if err := res.Write(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -56,26 +56,36 @@ type Enhanced struct {
 // threshold tracks fewer objects (cheaper GoFs) at some recall cost.
 var ConfThresholds = []float64{0, 0.35}
 
-// NewEnhanced profiles the model's branches offline on the training
-// videos (zero contention) and fixes the most accurate (branch,
-// confidence-threshold) combination whose latency fits the SLO with a
-// safety margin. Only SSD+ exposes the confidence knob; other models
-// profile at threshold 0.
-func NewEnhanced(label string, model detect.Model, slo float64,
-	dev simlat.Device, trainVideos []*vid.Video) *Enhanced {
+// EnhancedProfile is the offline profile of SSD+ or YOLO+ on one
+// device: the accuracy and planning latency of every (branch,
+// confidence-threshold) combination on the training videos, at zero
+// contention. It does not depend on the SLO, so one profile serves
+// every SLO on its device.
+type EnhancedProfile struct {
+	label  string
+	model  detect.Model
+	dev    simlat.Device
+	points []enhancedPoint
+}
 
-	e := &Enhanced{Label: label, Model: model, SLO: slo, Device: dev}
+type enhancedPoint struct {
+	b    mbek.Branch
+	conf float64
+	m    float64
+	lat  float64 // worst per-video mean latency (planning number)
+}
+
+// ProfileEnhanced profiles the model's branches offline on the training
+// videos. Only SSD+ exposes the confidence knob; other models profile
+// at threshold 0.
+func ProfileEnhanced(label string, model detect.Model, dev simlat.Device,
+	trainVideos []*vid.Video) *EnhancedProfile {
+
+	p := &EnhancedProfile{label: label, model: model, dev: dev}
 	thresholds := []float64{0}
 	if strings.HasPrefix(model.Name, "ssd") {
 		thresholds = ConfThresholds
 	}
-	type prof struct {
-		b    mbek.Branch
-		conf float64
-		m    float64
-		lat  float64 // worst per-video mean latency (planning number)
-	}
-	var profs []prof
 	for bi, b := range EnhancedBranches() {
 		for ci, conf := range thresholds {
 			m := model.WithMinScore(conf)
@@ -93,19 +103,26 @@ func NewEnhanced(label string, model detect.Model, slo float64,
 			if n == 0 {
 				continue
 			}
-			profs = append(profs, prof{b: b, conf: conf,
+			p.points = append(p.points, enhancedPoint{b: b, conf: conf,
 				m: mapSum / float64(n), lat: latMax})
 		}
 	}
+	return p
+}
+
+// ForSLO fixes the most accurate profiled (branch, confidence-threshold)
+// combination whose latency fits the SLO with a safety margin.
+func (p *EnhancedProfile) ForSLO(slo float64) *Enhanced {
+	profs := p.points
 	best := -1
-	for i, p := range profs {
+	for i, q := range profs {
 		// The offline profile plans against the worst training video's
 		// mean latency (content varies per-video cost, e.g. per-object
 		// tracker work), with headroom for jitter.
-		if p.lat*1.08 > slo*0.95 {
+		if q.lat*1.08 > slo*0.95 {
 			continue
 		}
-		if best < 0 || p.m > profs[best].m {
+		if best < 0 || q.m > profs[best].m {
 			best = i
 		}
 	}
@@ -113,16 +130,23 @@ func NewEnhanced(label string, model detect.Model, slo float64,
 		// Nothing fits: run the cheapest branch anyway (the protocol will
 		// show as "F" in the tables).
 		best = 0
-		for i, p := range profs {
-			if p.lat < profs[best].lat {
+		for i, q := range profs {
+			if q.lat < profs[best].lat {
 				best = i
 			}
 		}
 	}
-	e.branch = profs[best].b
-	e.Model = model.WithMinScore(profs[best].conf)
-	e.profiled = true
-	return e
+	return &Enhanced{Label: p.label, SLO: slo, Device: p.dev,
+		branch:   profs[best].b,
+		Model:    p.model.WithMinScore(profs[best].conf),
+		profiled: true}
+}
+
+// NewEnhanced profiles the model on the training videos and fixes the
+// branch for one SLO: ProfileEnhanced followed by ForSLO.
+func NewEnhanced(label string, model detect.Model, slo float64,
+	dev simlat.Device, trainVideos []*vid.Video) *Enhanced {
+	return ProfileEnhanced(label, model, dev, trainVideos).ForSLO(slo)
 }
 
 // Name implements harness.Protocol.

@@ -350,6 +350,10 @@ func (s *Scheduler) SetObserver(so *obs.StreamObserver) {
 	}
 }
 
+// Options returns the scheduler's options with New's defaults
+// resolved.
+func (s *Scheduler) Options() Options { return s.opts }
+
 // Adapter returns the attached online adapter (nil when adaptation is
 // off).
 func (s *Scheduler) Adapter() *adapt.Adapter { return s.adapter }

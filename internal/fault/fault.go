@@ -23,7 +23,9 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -453,6 +455,9 @@ func WrapContention(g contend.Generator, inj *Injector) contend.Generator {
 //	crash=8            (board dies permanently at round 8)
 //	blackout=5,blackout_rounds=3  (board unresponsive rounds 5-7)
 //
+// Rates must lie in [0, 1]; magnitudes must be finite and >= 0; seed
+// must be an integer, and burst_frames, crash, blackout and
+// blackout_rounds integers >= 0.
 // Errors name the offending token and its 1-based position in the spec.
 // Repeating a key (including via an alias such as extract/extract_fail)
 // is an error rather than a silent last-one-wins.
@@ -470,46 +475,46 @@ func ParseSpec(spec string) (*Config, error) {
 		if !ok {
 			return nil, fmt.Errorf("fault: bad spec token %q at position %d (want key=value)", tok, pos)
 		}
-		key = strings.TrimSpace(key)
+		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
 		canon := key
 		if key == "extract_fail" {
 			canon = "extract"
 		}
-		f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil {
-			return nil, fmt.Errorf("fault: bad value %q for key %q at position %d (token %q)",
-				strings.TrimSpace(val), key, pos, tok)
-		}
+		var err error
 		switch key {
 		case "seed":
-			cfg.Seed = int64(f)
+			cfg.Seed, err = parseInt64(val)
 		case "spike":
-			cfg.SpikeRate = f
+			cfg.SpikeRate, err = parseRate(val)
 		case "spike_ms":
-			cfg.SpikeMS = f
+			cfg.SpikeMS, err = parseMagnitude(val)
 		case "extract", "extract_fail":
-			cfg.ExtractFailRate = f
+			cfg.ExtractFailRate, err = parseRate(val)
 		case "burst":
-			cfg.BurstRate = f
+			cfg.BurstRate, err = parseRate(val)
 		case "burst_level":
-			cfg.BurstLevel = f
+			cfg.BurstLevel, err = parseMagnitude(val)
 		case "burst_frames":
-			cfg.BurstFrames = int(f)
+			cfg.BurstFrames, err = parseCount(val)
 		case "stall":
-			cfg.StallRate = f
+			cfg.StallRate, err = parseRate(val)
 		case "stall_ms":
-			cfg.StallMS = f
+			cfg.StallMS, err = parseMagnitude(val)
 		case "panic":
-			cfg.PanicRate = f
+			cfg.PanicRate, err = parseRate(val)
 		case "crash":
-			cfg.CrashRound = int(f)
+			cfg.CrashRound, err = parseCount(val)
 		case "blackout":
-			cfg.BlackoutRound = int(f)
+			cfg.BlackoutRound, err = parseCount(val)
 		case "blackout_rounds":
-			cfg.BlackoutRounds = int(f)
+			cfg.BlackoutRounds, err = parseCount(val)
 		default:
 			return nil, fmt.Errorf("fault: unknown key %q at position %d (token %q; known: %s)",
 				key, pos, tok, strings.Join(specKeys(), ", "))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("fault: bad value %q for key %q at position %d (token %q): %v",
+				val, key, pos, tok, err)
 		}
 		if first, dup := seen[canon]; dup {
 			return nil, fmt.Errorf("fault: duplicate key %q at position %d (first set at position %d)",
@@ -518,6 +523,52 @@ func ParseSpec(spec string) (*Config, error) {
 		seen[canon] = pos
 	}
 	return cfg, nil
+}
+
+// parseRate parses a per-opportunity probability: finite, in [0, 1].
+func parseRate(s string) (float64, error) {
+	f, err := parseFloat(s)
+	if err == nil && !(f >= 0 && f <= 1) {
+		err = errors.New("want a rate in [0, 1]")
+	}
+	return f, err
+}
+
+// parseMagnitude parses a duration or level: finite and >= 0.
+func parseMagnitude(s string) (float64, error) {
+	f, err := parseFloat(s)
+	if err == nil && !(f >= 0 && f <= math.MaxFloat64) {
+		err = errors.New("want a finite value >= 0")
+	}
+	return f, err
+}
+
+func parseFloat(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	return f, numErr(err)
+}
+
+// parseCount parses a round number or frame count: an integer >= 0.
+func parseCount(s string) (int, error) {
+	n, err := strconv.ParseInt(s, 10, strconv.IntSize)
+	if err == nil && n < 0 {
+		return 0, errors.New("want an integer >= 0")
+	}
+	return int(n), numErr(err)
+}
+
+func parseInt64(s string) (int64, error) {
+	n, err := strconv.ParseInt(s, 10, 64)
+	return n, numErr(err)
+}
+
+// numErr drops strconv's "strconv.ParseX: parsing ..." prefix, which
+// repeats what the ParseSpec error already says.
+func numErr(err error) error {
+	if ne, ok := err.(*strconv.NumError); ok {
+		return ne.Err
+	}
+	return err
 }
 
 // ParseBoardSpecs parses the board-scoped fault grammar used by the

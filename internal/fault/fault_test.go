@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 
 	"litereconfig/internal/contend"
@@ -157,10 +158,17 @@ func TestParseSpec(t *testing.T) {
 	if (Config{}).Enabled() {
 		t.Fatal("zero config should be disabled")
 	}
-	for _, bad := range []string{"spike", "spike=x", "bogus=1"} {
+	for _, bad := range []string{"spike", "spike=x", "bogus=1",
+		"spike=NaN", "panic=-1", "extract=7", "stall=+Inf", "spike_ms=-5", "burst_level=Inf",
+		"crash=2.7", "crash=1e300", "seed=1e30", "burst_frames=3.0", "blackout=99999999999999999999", "crash=-3", "blackout_rounds=-1"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("spec %q should not parse", bad)
 		}
+	}
+	// Errors name the token and its position.
+	_, err = ParseSpec("spike=0.1, crash=2.7")
+	if err == nil || !contains(err.Error(), `"crash=2.7"`) || !contains(err.Error(), "position 2") {
+		t.Fatalf("error %v does not name the token and its position", err)
 	}
 	if cfg, err := ParseSpec(""); err != nil || cfg.Enabled() {
 		t.Fatalf("empty spec: %v, %+v", err, cfg)
@@ -252,4 +260,58 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// checkRanges fails unless cfg's rates lie in [0, 1], its magnitudes
+// are finite and >= 0 and its counts >= 0, as ParseSpec promises for
+// every config it accepts.
+func checkRanges(t *testing.T, spec string, cfg *Config) {
+	t.Helper()
+	for _, r := range []float64{cfg.SpikeRate, cfg.ExtractFailRate, cfg.BurstRate, cfg.StallRate, cfg.PanicRate} {
+		if !(r >= 0 && r <= 1) {
+			t.Fatalf("spec %q accepted with rate %v: %+v", spec, r, *cfg)
+		}
+	}
+	for _, m := range []float64{cfg.SpikeMS, cfg.BurstLevel, cfg.StallMS} {
+		if !(m >= 0 && m <= math.MaxFloat64) {
+			t.Fatalf("spec %q accepted with magnitude %v: %+v", spec, m, *cfg)
+		}
+	}
+	if cfg.BurstFrames < 0 || cfg.CrashRound < 0 || cfg.BlackoutRound < 0 || cfg.BlackoutRounds < 0 {
+		t.Fatalf("spec %q accepted with a negative count: %+v", spec, *cfg)
+	}
+}
+
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{"", "spike=0.05,extract=0.1,burst=0.02,stall=0.01,panic=0.005,seed=42",
+		"spike_ms=80,stall_ms=300,burst_level=0.5,burst_frames=40", "crash=8", "blackout=5,blackout_rounds=2",
+		"extract_fail=1", "spike=NaN", "crash=2.7", "seed=1e30", "spike=0x1p-2", "spike=0.1,spike=0.2"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		checkRanges(t, spec, cfg)
+	})
+}
+
+func FuzzParseBoardSpecs(f *testing.F) {
+	for _, seed := range []string{"", "spike=0.01;b1:panic=0.3,seed=5", "b1:crash=6;b2:blackout=4",
+		":spike=0.1", "b1:crash=4;b1:panic=0.1", "a=b:c", "b1:spike=2"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		specs, err := ParseBoardSpecs(spec)
+		if err != nil {
+			return
+		}
+		for board, cfg := range specs {
+			if board == "" || cfg == nil {
+				t.Fatalf("spec %q accepted with board %q -> %v", spec, board, cfg)
+			}
+			checkRanges(t, spec, cfg)
+		}
+	})
 }

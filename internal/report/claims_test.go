@@ -15,48 +15,29 @@ import (
 // TestClaimC1 — LiteReconfig sustains 30 fps (33.3 ms) on the TX2 and
 // 50 fps (20 ms) on the Xavier under no contention, at useful accuracy.
 func TestClaimC1(t *testing.T) {
-	s := setup(t)
-	tx2, err := RunCell(s, "LiteReconfig", Scenario{Device: simlat.TX2, SLO: 33.3})
-	if err != nil {
-		t.Fatal(err)
+	tx2 := table2Row(t, "LiteReconfig", Scenario{Device: simlat.TX2, SLO: 33.3})
+	if !tx2.Meets {
+		t.Errorf("C1: TX2 33.3 ms violated (p95=%.1f)", tx2.P95)
 	}
-	if !tx2.MeetsSLO() {
-		t.Errorf("C1: TX2 33.3 ms violated (p95=%.1f)", tx2.Latency.P95())
+	xv := table2Row(t, "LiteReconfig", Scenario{Device: simlat.Xavier, SLO: 20})
+	if !xv.Meets {
+		t.Errorf("C1: Xavier 20 ms violated (p95=%.1f)", xv.P95)
 	}
-	xv, err := RunCell(s, "LiteReconfig", Scenario{Device: simlat.Xavier, SLO: 20})
-	if err != nil {
-		t.Fatal(err)
+	if tx2.MAP < 0.30 || xv.MAP < 0.30 {
+		t.Errorf("C1: accuracy too low (tx2=%.3f xv=%.3f)", tx2.MAP, xv.MAP)
 	}
-	if !xv.MeetsSLO() {
-		t.Errorf("C1: Xavier 20 ms violated (p95=%.1f)", xv.Latency.P95())
-	}
-	if tx2.MAP() < 0.30 || xv.MAP() < 0.30 {
-		t.Errorf("C1: accuracy too low (tx2=%.3f xv=%.3f)", tx2.MAP(), xv.MAP())
-	}
-	t.Logf("C1: TX2@33.3 mAP=%.1f%% p95=%.1f | Xavier@20 mAP=%.1f%% p95=%.1f",
-		tx2.MAP()*100, tx2.Latency.P95(), xv.MAP()*100, xv.Latency.P95())
 }
 
 // TestClaimC2 — LiteReconfig improves accuracy over the SOTA adaptive
 // system (ApproxDet) at the same latency objective (paper: +1.8 to +3.5
 // mAP at 100 ms).
 func TestClaimC2(t *testing.T) {
-	s := setup(t)
 	for _, g := range []float64{0, 0.5} {
 		sc := Scenario{Device: simlat.TX2, SLO: 100, Contention: g}
-		lr, err := RunCell(s, "LiteReconfig", sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ad, err := RunCell(s, "ApproxDet", sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("C2 (%.0f%% contention): LiteReconfig %.1f%% vs ApproxDet %.1f%%",
-			g*100, lr.MAP()*100, ad.MAP()*100)
-		if lr.MAP() <= ad.MAP() {
+		lr, ad := table2Row(t, "LiteReconfig", sc), table2Row(t, "ApproxDet", sc)
+		if lr.MAP <= ad.MAP {
 			t.Errorf("C2: LiteReconfig (%.3f) should beat ApproxDet (%.3f) at 100 ms, %.0f%% contention",
-				lr.MAP(), ad.MAP(), g*100)
+				lr.MAP, ad.MAP, g*100)
 		}
 	}
 }
@@ -64,13 +45,8 @@ func TestClaimC2(t *testing.T) {
 // TestClaimC3 — LiteReconfig at 33.3 ms is tens of times faster than
 // SELSA, MEGA and REPP on the TX2 (paper: 74.9x, 30.5x, 20.3x).
 func TestClaimC3(t *testing.T) {
-	s := setup(t)
-	rows, err := RunTable3(s)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mean := map[string]float64{}
-	for _, r := range rows {
+	for _, r := range results(t).Table3 {
 		if !r.OOM {
 			mean[r.Label] = r.MeanMS
 		}
@@ -88,9 +64,7 @@ func TestClaimC3(t *testing.T) {
 		{"REPP-over-YOLOv3", 8},
 	}
 	for _, c := range checks {
-		speedup := mean[c.label] / lr
-		t.Logf("C3: %.1fx faster than %s", speedup, c.label)
-		if speedup < c.min {
+		if speedup := mean[c.label] / lr; speedup < c.min {
 			t.Errorf("C3: speedup over %s = %.1fx, want >= %.0fx", c.label, speedup, c.min)
 		}
 	}
@@ -100,30 +74,21 @@ func TestClaimC3(t *testing.T) {
 // greedy MaxContent-ResNet variant in the paper's two comparison cells
 // (paper: +1.0 and +2.2 mAP).
 func TestClaimC4(t *testing.T) {
-	s := setup(t)
 	cells := []Scenario{
 		{Device: simlat.TX2, Contention: 0, SLO: 33.3},
 		{Device: simlat.TX2, Contention: 0.5, SLO: 50},
 	}
 	for _, sc := range cells {
-		full, err := RunCell(s, "LiteReconfig", sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resnet, err := RunCell(s, "LiteReconfig-MaxContent-ResNet", sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("C4 %v: full %.1f%% (p95 %.1f) vs MaxContent-ResNet %.1f%% (p95 %.1f)",
-			sc, full.MAP()*100, full.Latency.P95(), resnet.MAP()*100, resnet.Latency.P95())
+		full := table2Row(t, "LiteReconfig", sc)
+		resnet := table2Row(t, "LiteReconfig-MaxContent-ResNet", sc)
 		// Shape assertion: within the noise floor, full must not lose to
 		// the greedy variant while also honoring the SLO.
-		if full.MAP() < resnet.MAP()-0.03 {
+		if full.MAP < resnet.MAP-0.03 {
 			t.Errorf("C4 %v: full (%.3f) clearly below MaxContent-ResNet (%.3f)",
-				sc, full.MAP(), resnet.MAP())
+				sc, full.MAP, resnet.MAP)
 		}
-		if !full.MeetsSLO() {
-			t.Errorf("C4 %v: full violates the SLO (p95=%.1f)", sc, full.Latency.P95())
+		if !full.Meets {
+			t.Errorf("C4 %v: full violates the SLO (p95=%.1f)", sc, full.P95)
 		}
 	}
 }

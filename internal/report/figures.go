@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"litereconfig/internal/fixture"
 	"litereconfig/internal/mbek"
 	"litereconfig/internal/sched"
 	"litereconfig/internal/simlat"
@@ -30,28 +29,27 @@ var Fig2Strategies = []string{
 // Fig2SLOs is the SLO sweep of the curve.
 var Fig2SLOs = []float64{33.3, 40, 50, 66.7, 80, 100}
 
-// RunFig2 sweeps the three strategies over the SLO range on the TX2.
-func RunFig2(set *fixture.Setup) ([]Fig2Point, error) {
-	var pts []Fig2Point
+// fig2 sweeps the three strategies over the SLO range on the TX2.
+func (r *runner) fig2(res *Results) error {
 	for _, name := range Fig2Strategies {
 		for _, slo := range Fig2SLOs {
-			r, err := RunCell(set, name, Scenario{Device: simlat.TX2, SLO: slo})
+			c, err := r.cell(name, Scenario{Device: simlat.TX2, SLO: slo})
 			if err != nil {
-				return nil, err
+				return err
 			}
-			pts = append(pts, Fig2Point{Strategy: name, SLO: slo,
-				MeanMS: r.Latency.Mean(), MAP: r.MAP()})
+			res.Fig2 = append(res.Fig2, Fig2Point{Strategy: name, SLO: slo,
+				MeanMS: c.Latency.Mean(), MAP: c.MAP()})
 		}
 	}
-	return pts, nil
+	return nil
 }
 
-// FormatFig2 renders the curve data.
-func FormatFig2(pts []Fig2Point) string {
+// formatFig2 renders the curve data.
+func formatFig2(res *Results) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 2: accuracy vs latency per strategy (TX2, no contention)\n")
 	fmt.Fprintf(&b, "%-36s %8s %12s %8s\n", "strategy", "SLO(ms)", "mean lat(ms)", "mAP(%)")
-	for _, p := range pts {
+	for _, p := range res.Fig2 {
 		fmt.Fprintf(&b, "%-36s %8.1f %12.1f %8.1f\n", p.Strategy, p.SLO, p.MeanMS, p.MAP*100)
 	}
 	return b.String()
@@ -79,36 +77,35 @@ var Fig3Protocols = []string{
 	"LiteReconfig",
 }
 
-// RunFig3 profiles the component breakdown on the TX2 at the three SLOs.
-func RunFig3(set *fixture.Setup) ([]Fig3Row, error) {
-	var rows []Fig3Row
+// fig3 profiles the component breakdown on the TX2 at the three SLOs.
+func (r *runner) fig3(res *Results) error {
 	for _, slo := range []float64{33.3, 50, 100} {
 		for _, name := range Fig3Protocols {
-			r, err := RunCell(set, name, Scenario{Device: simlat.TX2, SLO: slo})
+			c, err := r.cell(name, Scenario{Device: simlat.TX2, SLO: slo})
 			if err != nil {
-				return nil, err
+				return err
 			}
-			bd := r.Breakdown
-			rows = append(rows, Fig3Row{
+			bd := c.Breakdown
+			res.Fig3 = append(res.Fig3, Fig3Row{
 				Protocol: name, SLO: slo,
 				DetectorPct:  bd.PerFrame(mbek.CompDetector) / slo * 100,
 				TrackerPct:   bd.PerFrame(mbek.CompTracker) / slo * 100,
 				SchedulerPct: (bd.PerFrame("scheduler") + bd.PerFrame("pipeline")) / slo * 100,
 				SwitchPct:    bd.PerFrame(mbek.CompSwitch) / slo * 100,
-				Meets:        r.MeetsSLO(),
+				Meets:        c.MeetsSLO(),
 			})
 		}
 	}
-	return rows, nil
+	return nil
 }
 
-// FormatFig3 renders the breakdown table.
-func FormatFig3(rows []Fig3Row) string {
+// formatFig3 renders the breakdown table.
+func formatFig3(res *Results) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 3: %% of SLO per component (TX2; protocols violating the SLO marked F)\n")
 	fmt.Fprintf(&b, "%-36s %8s %9s %9s %9s %9s %6s\n",
 		"protocol", "SLO(ms)", "detector", "tracker", "sched", "switch", "fits")
-	for _, r := range rows {
+	for _, r := range res.Fig3 {
 		fits := "yes"
 		if !r.Meets {
 			fits = "F"
@@ -128,28 +125,27 @@ type Fig4Row struct {
 	Switches int
 }
 
-// RunFig4 measures branch coverage per protocol per SLO on the TX2.
-func RunFig4(set *fixture.Setup) ([]Fig4Row, error) {
-	var rows []Fig4Row
+// fig4 measures branch coverage per protocol per SLO on the TX2.
+func (r *runner) fig4(res *Results) error {
 	for _, slo := range []float64{33.3, 50, 100} {
 		for _, name := range Table2Protocols {
-			r, err := RunCell(set, name, Scenario{Device: simlat.TX2, SLO: slo})
+			c, err := r.cell(name, Scenario{Device: simlat.TX2, SLO: slo})
 			if err != nil {
-				return nil, err
+				return err
 			}
-			rows = append(rows, Fig4Row{Protocol: name, SLO: slo,
-				Coverage: r.BranchCoverage, Switches: r.Switches})
+			res.Fig4 = append(res.Fig4, Fig4Row{Protocol: name, SLO: slo,
+				Coverage: c.BranchCoverage, Switches: c.Switches})
 		}
 	}
-	return rows, nil
+	return nil
 }
 
-// FormatFig4 renders the coverage table.
-func FormatFig4(rows []Fig4Row) string {
+// formatFig4 renders the coverage table.
+func formatFig4(res *Results) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 4: branch coverage (distinct branches executed) and switches\n")
 	fmt.Fprintf(&b, "%-36s %8s %9s %9s\n", "protocol", "SLO(ms)", "coverage", "switches")
-	for _, r := range rows {
+	for _, r := range res.Fig4 {
 		fmt.Fprintf(&b, "%-36s %8.1f %9d %9d\n", r.Protocol, r.SLO, r.Coverage, r.Switches)
 	}
 	return b.String()
@@ -167,10 +163,10 @@ type Fig5Data struct {
 	Outliers map[float64]int
 }
 
-// RunFig5 computes the offline matrix and replays LiteReconfig at 33.3
+// fig5 computes the offline matrix and replays LiteReconfig at 33.3
 // and 50 ms on the TX2 to harvest the online switch log.
-func RunFig5(set *fixture.Setup) (*Fig5Data, error) {
-	labels, offline := sched.SwitchMatrix(set.Models.Branches)
+func (r *runner) fig5(res *Results) error {
+	labels, offline := sched.SwitchMatrix(r.set.Models.Branches)
 	idx := map[string]int{}
 	for i, l := range labels {
 		idx[l] = i
@@ -178,9 +174,9 @@ func RunFig5(set *fixture.Setup) (*Fig5Data, error) {
 	d := &Fig5Data{Labels: labels, Offline: offline,
 		Online: map[float64][][]float64{}, Outliers: map[float64]int{}}
 	for _, slo := range []float64{33.3, 50} {
-		r, err := RunCell(set, "LiteReconfig", Scenario{Device: simlat.TX2, SLO: slo})
+		c, err := r.cell("LiteReconfig", Scenario{Device: simlat.TX2, SLO: slo})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		sums := make([][]float64, len(labels))
 		counts := make([][]int, len(labels))
@@ -188,7 +184,7 @@ func RunFig5(set *fixture.Setup) (*Fig5Data, error) {
 			sums[i] = make([]float64, len(labels))
 			counts[i] = make([]int, len(labels))
 		}
-		for _, ev := range r.SwitchLog {
+		for _, ev := range c.SwitchLog {
 			from := fmt.Sprintf("(%d,%d)", ev.From.Shape, ev.From.NProp)
 			to := fmt.Sprintf("(%d,%d)", ev.To.Shape, ev.To.NProp)
 			fi, fok := idx[from]
@@ -215,11 +211,13 @@ func RunFig5(set *fixture.Setup) (*Fig5Data, error) {
 		}
 		d.Online[slo] = grid
 	}
-	return d, nil
+	res.Fig5 = d
+	return nil
 }
 
-// FormatFig5 renders both heatmaps as text grids.
-func FormatFig5(d *Fig5Data) string {
+// formatFig5 renders both heatmaps as text grids.
+func formatFig5(res *Results) string {
+	d := res.Fig5
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 5(a): offline switching cost matrix (ms), (shape,nprop) buckets\n")
 	writeGrid(&b, d.Labels, d.Offline)

@@ -2,19 +2,23 @@
 // evaluation (Sec. 5) from the simulation: Table 1 (feature costs),
 // Table 2 (main comparison), Table 3 (accuracy-optimized baselines),
 // Table 4 (per-feature effectiveness), Figure 2 (cost-benefit motivation
-// curve), Figure 3 (latency breakdown), Figure 4 (branch coverage) and
-// Figure 5 (switching-cost heatmaps).
+// curve), Figure 3 (latency breakdown), Figure 4 (branch coverage),
+// Figure 5 (switching-cost heatmaps) and the design ablations of
+// DESIGN.md §5.
 //
-// Each experiment has a Run function returning structured rows and a
-// Format function rendering the paper-style text table; cmd/lrbench and
-// the top-level benchmarks drive both.
+// Run executes the named experiments and returns their typed rows;
+// Results.Write renders them as paper-style text tables. cmd/lrbench
+// prints that rendering, and testdata/paper_small.golden pins it for
+// the small fixture.
 package report
 
 import (
 	"fmt"
+	"io"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
+	"time"
 
 	"litereconfig/internal/baseline"
 	"litereconfig/internal/contend"
@@ -62,60 +66,170 @@ var Table2Protocols = []string{
 	"LiteReconfig",
 }
 
-// enhancedCache memoizes the expensive offline profiling of SSD+/YOLO+
-// per (model, slo, device) triple.
-var (
-	enhancedMu    sync.Mutex
-	enhancedCache = map[string]*baseline.Enhanced{}
-)
-
-func enhancedFor(set *fixture.Setup, label string, model detect.Model,
-	slo float64, dev simlat.Device) *baseline.Enhanced {
-	key := fmt.Sprintf("%s|%.1f|%s", label, slo, dev.Name)
-	enhancedMu.Lock()
-	defer enhancedMu.Unlock()
-	if e, ok := enhancedCache[key]; ok {
-		return e
-	}
-	e := baseline.NewEnhanced(label, model, slo, dev, set.Corpus.DetTrain)
-	enhancedCache[key] = e
-	return e
-}
-
 // BuildProtocol constructs a named protocol for a scenario.
 func BuildProtocol(set *fixture.Setup, name string, sc Scenario) (harness.Protocol, error) {
+	return newRunner(set).protocol(name, sc)
+}
+
+// pipelinePolicies maps the LiteReconfig rows of Table 2 to their
+// scheduling policies.
+var pipelinePolicies = map[string]core.Policy{
+	"LiteReconfig-MinCost":              core.PolicyMinCost,
+	"LiteReconfig-MaxContent-ResNet":    core.PolicyMaxContentResNet,
+	"LiteReconfig-MaxContent-MobileNet": core.PolicyMaxContentMobileNet,
+	"LiteReconfig":                      core.PolicyFull,
+}
+
+// protocol builds a named protocol for a scenario.
+func (r *runner) protocol(name string, sc Scenario) (harness.Protocol, error) {
 	switch name {
 	case "SSD+":
-		return enhancedFor(set, "SSD+", detect.SSDMnasFPN, sc.SLO, sc.Device), nil
+		return r.enhanced(name, detect.SSDMnasFPN, sc.Device).ForSLO(sc.SLO), nil
 	case "YOLO+":
-		return enhancedFor(set, "YOLO+", detect.YOLOv3, sc.SLO, sc.Device), nil
+		return r.enhanced(name, detect.YOLOv3, sc.Device).ForSLO(sc.SLO), nil
 	case "ApproxDet":
-		return baseline.NewApproxDet(set.Models, sc.SLO, sc.Device)
-	case "LiteReconfig-MinCost":
-		return core.NewPipeline(core.Options{Models: set.Models, SLO: sc.SLO,
-			Policy: core.PolicyMinCost})
-	case "LiteReconfig-MaxContent-ResNet":
-		return core.NewPipeline(core.Options{Models: set.Models, SLO: sc.SLO,
-			Policy: core.PolicyMaxContentResNet})
-	case "LiteReconfig-MaxContent-MobileNet":
-		return core.NewPipeline(core.Options{Models: set.Models, SLO: sc.SLO,
-			Policy: core.PolicyMaxContentMobileNet})
-	case "LiteReconfig":
-		return core.NewPipeline(core.Options{Models: set.Models, SLO: sc.SLO,
-			Policy: core.PolicyFull})
+		return baseline.NewApproxDet(r.set.Models, sc.SLO, sc.Device)
+	}
+	if pol, ok := pipelinePolicies[name]; ok {
+		return core.NewPipeline(core.Options{Models: r.set.Models, SLO: sc.SLO, Policy: pol})
 	}
 	return nil, fmt.Errorf("report: unknown protocol %q", name)
 }
 
-// RunCell evaluates one protocol in one scenario over the validation set.
-func RunCell(set *fixture.Setup, name string, sc Scenario) (*harness.Result, error) {
-	p, err := BuildProtocol(set, name, sc)
+// enhanced returns the offline profile of SSD+ or YOLO+ on a device,
+// profiling each (model, device) once per runner.
+func (r *runner) enhanced(label string, model detect.Model, dev simlat.Device) *baseline.EnhancedProfile {
+	k := profileKey{label, dev}
+	p, ok := r.profiles[k]
+	if !ok {
+		p = baseline.ProfileEnhanced(label, model, dev, r.set.Corpus.DetTrain)
+		r.profiles[k] = p
+	}
+	return p
+}
+
+// experiments lists every experiment, in the order Run executes and
+// Results.Write renders them: its name, the runner method that fills
+// its rows and the function that renders them.
+var experiments = []struct {
+	name   string
+	run    func(*runner, *Results) error
+	format func(*Results) string
+}{
+	{"table1", (*runner).table1, formatTable1},
+	{"table2", (*runner).table2, formatTable2},
+	{"table3", (*runner).table3, formatTable3},
+	{"table4", (*runner).table4, formatTable4},
+	{"fig2", (*runner).fig2, formatFig2},
+	{"fig3", (*runner).fig3, formatFig3},
+	{"fig4", (*runner).fig4, formatFig4},
+	{"fig5", (*runner).fig5, formatFig5},
+	{"ablations", (*runner).ablations, formatAblations},
+}
+
+// Results holds the typed rows of the experiments one Run executed;
+// the fields of experiments it did not run stay nil.
+type Results struct {
+	// Names lists the experiments run, in Run's order; Elapsed[i]
+	// is the wall time Names[i] took.
+	Names   []string
+	Elapsed []time.Duration
+
+	Table1    []Table1Row
+	Table2    []Table2Row
+	Table3    []Table3Row
+	Table4    []Table4Row
+	Fig2      []Fig2Point
+	Fig3      []Fig3Row
+	Fig4      []Fig4Row
+	Fig5      *Fig5Data
+	Ablations []AblationRow
+}
+
+// Run executes the named experiments on set, in a fixed order. The
+// name "all" selects every experiment; an unknown name is an error.
+// Identical (protocol, scenario) cells shared by several experiments
+// are evaluated once per Run.
+func Run(set *fixture.Setup, names []string) (*Results, error) {
+	known := []string{"all"}
+	for _, e := range experiments {
+		known = append(known, e.name)
+	}
+	want := map[string]bool{}
+	for _, n := range names {
+		if !slices.Contains(known, n) {
+			return nil, fmt.Errorf("report: unknown experiment %q (known: %s)",
+				n, strings.Join(known, ", "))
+		}
+		want[n] = true
+	}
+	r, res := newRunner(set), &Results{}
+	for _, e := range experiments {
+		if !want["all"] && !want[e.name] {
+			continue
+		}
+		t := time.Now()
+		if err := e.run(r, res); err != nil {
+			return nil, fmt.Errorf("report: %s: %w", e.name, err)
+		}
+		res.Names = append(res.Names, e.name)
+		res.Elapsed = append(res.Elapsed, time.Since(t))
+	}
+	return res, nil
+}
+
+// Write renders every experiment of the Run, in order, each preceded
+// and followed by a blank line.
+func (res *Results) Write(w io.Writer) error {
+	for _, e := range experiments {
+		if !slices.Contains(res.Names, e.name) {
+			continue
+		}
+		if _, err := fmt.Fprintf(w, "\n%s\n", e.format(res)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runner carries one Run's fixture and memoizes its evaluated cells
+// and SSD+/YOLO+ profiles.
+type runner struct {
+	set      *fixture.Setup
+	cells    map[cellKey]*harness.Result
+	profiles map[profileKey]*baseline.EnhancedProfile
+}
+
+type cellKey struct {
+	name string
+	sc   Scenario
+}
+
+type profileKey struct {
+	label string
+	dev   simlat.Device
+}
+
+func newRunner(set *fixture.Setup) *runner {
+	return &runner{set: set, cells: map[cellKey]*harness.Result{},
+		profiles: map[profileKey]*baseline.EnhancedProfile{}}
+}
+
+// cell evaluates one protocol in one scenario over the validation set,
+// at most once per Run.
+func (r *runner) cell(name string, sc Scenario) (*harness.Result, error) {
+	k := cellKey{name, sc}
+	if res, ok := r.cells[k]; ok {
+		return res, nil
+	}
+	p, err := r.protocol(name, sc)
 	if err != nil {
 		return nil, err
 	}
-	r := harness.Evaluate(p, set.Corpus.Val, sc.Device, sc.SLO,
+	res := harness.Evaluate(p, r.set.Corpus.Val, sc.Device, sc.SLO,
 		contend.Fixed{G: sc.Contention}, 1234)
-	return r, nil
+	r.cells[k] = res
+	return res, nil
 }
 
 // Table1Row is one feature-cost row (Table 1).
@@ -127,27 +241,26 @@ type Table1Row struct {
 	Class     string
 }
 
-// RunTable1 reads the feature registry.
-func RunTable1() []Table1Row {
-	var rows []Table1Row
+// table1 reads the feature registry.
+func (r *runner) table1(res *Results) error {
 	kinds := append([]feat.Kind{feat.Light}, feat.HeavyKinds()...)
 	for _, k := range kinds {
 		s := feat.SpecOf(k)
-		rows = append(rows, Table1Row{
+		res.Table1 = append(res.Table1, Table1Row{
 			Name: k.String(), Dim: s.Dim,
 			ExtractMS: s.ExtractMS, PredictMS: s.PredictMS,
 			Class: s.ExtractClass.String(),
 		})
 	}
-	return rows
+	return nil
 }
 
-// FormatTable1 renders Table 1.
-func FormatTable1(rows []Table1Row) string {
+// formatTable1 renders Table 1.
+func formatTable1(res *Results) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 1: scheduler features and costs (TX2 ms)\n")
 	fmt.Fprintf(&b, "%-12s %6s %10s %10s %6s\n", "feature", "dim", "extract", "predict", "unit")
-	for _, r := range rows {
+	for _, r := range res.Table1 {
 		fmt.Fprintf(&b, "%-12s %6d %10.2f %10.2f %6s\n",
 			r.Name, r.Dim, r.ExtractMS, r.PredictMS, r.Class)
 	}
@@ -166,34 +279,29 @@ type Table2Row struct {
 	Switches int
 }
 
-// RunTable2 evaluates the full Table 2 grid. Scenarios may be narrowed
-// for quick runs; nil means the full paper grid.
-func RunTable2(set *fixture.Setup, scenarios []Scenario) ([]Table2Row, error) {
-	if scenarios == nil {
-		scenarios = Table2Scenarios()
-	}
-	var rows []Table2Row
-	for _, sc := range scenarios {
+// table2 evaluates the full Table 2 grid.
+func (r *runner) table2(res *Results) error {
+	for _, sc := range Table2Scenarios() {
 		for _, name := range Table2Protocols {
-			r, err := RunCell(set, name, sc)
+			c, err := r.cell(name, sc)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			rows = append(rows, Table2Row{
+			res.Table2 = append(res.Table2, Table2Row{
 				Scenario: sc, Protocol: name,
-				MAP: r.MAP(), P95: r.Latency.P95(), Mean: r.Latency.Mean(),
-				Meets: r.MeetsSLO(), Coverage: r.BranchCoverage,
-				Switches: r.Switches,
+				MAP: c.MAP(), P95: c.Latency.P95(), Mean: c.Latency.Mean(),
+				Meets: c.MeetsSLO(), Coverage: c.BranchCoverage,
+				Switches: c.Switches,
 			})
 		}
 	}
-	return rows, nil
+	return nil
 }
 
-// FormatTable2 renders the main comparison in the paper's layout: one
+// formatTable2 renders the main comparison in the paper's layout: one
 // block per (device, contention), protocols as rows, SLOs as columns,
 // with "F" marking SLO violations.
-func FormatTable2(rows []Table2Row) string {
+func formatTable2(res *Results) string {
 	type blockKey struct {
 		dev  string
 		cont float64
@@ -201,7 +309,7 @@ func FormatTable2(rows []Table2Row) string {
 	type cell struct{ row Table2Row }
 	blocks := map[blockKey]map[string]map[float64]cell{}
 	slosOf := map[blockKey][]float64{}
-	for _, r := range rows {
+	for _, r := range res.Table2 {
 		k := blockKey{r.Scenario.Device.Name, r.Scenario.Contention}
 		if blocks[k] == nil {
 			blocks[k] = map[string]map[float64]cell{}

@@ -1,7 +1,10 @@
 package report
 
 import (
+	"bytes"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"litereconfig/internal/fixture"
@@ -17,12 +20,76 @@ func setup(t *testing.T) *fixture.Setup {
 	return s
 }
 
-func TestTable1(t *testing.T) {
-	rows := RunTable1()
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(rows))
+var (
+	smallOnce sync.Once
+	smallRes  *Results
+	smallErr  error
+)
+
+// results runs every experiment on the small fixture once per test
+// binary; the golden and every shape test read that one run.
+func results(t *testing.T) *Results {
+	t.Helper()
+	s := setup(t)
+	smallOnce.Do(func() { smallRes, smallErr = Run(s, []string{"all"}) })
+	if smallErr != nil {
+		t.Fatal(smallErr)
 	}
-	out := FormatTable1(rows)
+	return smallRes
+}
+
+// TestPaperSmallGolden pins every reported cell: the rendering must match
+// `go run ./cmd/lrbench -exp all -scale small` as committed. After an
+// intended change, regenerate with
+//
+//	go run ./cmd/lrbench -exp all -scale small > internal/report/testdata/paper_small.golden
+func TestPaperSmallGolden(t *testing.T) {
+	var got bytes.Buffer
+	if err := results(t).Write(&got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/paper_small.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			t.Fatalf("output differs from testdata/paper_small.golden at line %d:\n got: %q\nwant: %q", i+1, gl, wl)
+		}
+	}
+}
+
+func TestRunSelectsNamedExperiments(t *testing.T) {
+	s := setup(t)
+	res, err := Run(s, []string{"table1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Names) != 1 || res.Names[0] != "table1" || len(res.Table1) == 0 || res.Table2 != nil {
+		t.Fatalf("Run(table1) ran %v", res.Names)
+	}
+	if _, err := Run(s, []string{"table1", "nope"}); err == nil || !strings.Contains(err.Error(), "nope") {
+		t.Fatalf("unknown experiment not rejected: %v", err)
+	}
+}
+
+func TestTable1(t *testing.T) {
+	res := results(t)
+	if len(res.Table1) != 6 {
+		t.Fatalf("rows = %d, want 6", len(res.Table1))
+	}
+	out := formatTable1(res)
 	for _, want := range []string{"light", "hoc", "hog", "resnet50", "cpop", "mobilenetv2", "153.96"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 1 missing %q:\n%s", want, out)
@@ -52,38 +119,39 @@ func TestTable2Scenarios(t *testing.T) {
 	}
 }
 
+// table2Row returns the Table 2 row of one protocol in one scenario.
+func table2Row(t *testing.T, name string, sc Scenario) Table2Row {
+	t.Helper()
+	for _, r := range results(t).Table2 {
+		if r.Protocol == name && r.Scenario == sc {
+			return r
+		}
+	}
+	t.Fatalf("Table 2 has no %s row for %v", name, sc)
+	return Table2Row{}
+}
+
 func TestRunTable2Subset(t *testing.T) {
-	s := setup(t)
-	scs := []Scenario{
-		{Device: simlat.TX2, Contention: 0, SLO: 50},
-		{Device: simlat.TX2, Contention: 0.5, SLO: 50},
+	res := results(t)
+	if len(res.Table2) != len(Table2Scenarios())*len(Table2Protocols) {
+		t.Fatalf("rows = %d", len(res.Table2))
 	}
-	rows, err := RunTable2(s, scs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2*len(Table2Protocols) {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	out := FormatTable2(rows)
+	out := formatTable2(res)
 	if !strings.Contains(out, "LiteReconfig") || !strings.Contains(out, "tx2") {
 		t.Fatalf("table 2 malformed:\n%s", out)
 	}
-	// LiteReconfig meets the SLO in both cells.
-	for _, r := range rows {
-		if r.Protocol == "LiteReconfig" && !r.Meets {
-			t.Errorf("LiteReconfig violates SLO in %v (p95=%.1f)", r.Scenario, r.P95)
+	// LiteReconfig meets the SLO on the TX2 at 50 ms, with and without
+	// contention.
+	for _, g := range []float64{0, 0.5} {
+		sc := Scenario{Device: simlat.TX2, Contention: g, SLO: 50}
+		if r := table2Row(t, "LiteReconfig", sc); !r.Meets {
+			t.Errorf("LiteReconfig violates SLO in %v (p95=%.1f)", sc, r.P95)
 		}
 	}
-	t.Logf("\n%s", out)
 }
 
 func TestRunTable3(t *testing.T) {
-	s := setup(t)
-	rows, err := RunTable3(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := results(t).Table3
 	// 8 references + 2 EfficientDet + 5 AdaScale + 3 LiteReconfig = 18.
 	if len(rows) != 18 {
 		t.Fatalf("rows = %d, want 18", len(rows))
@@ -112,19 +180,16 @@ func TestRunTable3(t *testing.T) {
 	if speedup < 20 {
 		t.Errorf("LiteReconfig speedup over SELSA = %.1fx, want >= 20x", speedup)
 	}
-	t.Logf("speedup over SELSA: %.1fx\n%s", speedup, FormatTable3(rows))
+	t.Logf("speedup over SELSA: %.1fx", speedup)
 }
 
 func TestRunTable4(t *testing.T) {
-	s := setup(t)
-	rows, err := RunTable4(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := results(t)
+	rows := res.Table4
 	if len(rows) != 3*6 { // 3 SLOs x (none + 5 features)
 		t.Fatalf("rows = %d, want 18", len(rows))
 	}
-	out := FormatTable4(rows)
+	out := formatTable4(res)
 	if !strings.Contains(out, "none") || !strings.Contains(out, "mobilenetv2") {
 		t.Fatalf("table 4 malformed:\n%s", out)
 	}
@@ -142,19 +207,15 @@ func TestRunTable4(t *testing.T) {
 	if best[100] < none[100]-0.005 {
 		t.Errorf("best feature (%.3f) clearly below none (%.3f) at 100 ms", best[100], none[100])
 	}
-	t.Logf("\n%s", out)
 }
 
 func TestRunFig2(t *testing.T) {
-	s := setup(t)
-	pts, err := RunFig2(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := results(t)
+	pts := res.Fig2
 	if len(pts) != len(Fig2Strategies)*len(Fig2SLOs) {
 		t.Fatalf("points = %d", len(pts))
 	}
-	out := FormatFig2(pts)
+	out := formatFig2(res)
 	if !strings.Contains(out, "MaxContent-ResNet") {
 		t.Fatalf("fig2 malformed:\n%s", out)
 	}
@@ -173,11 +234,7 @@ func TestRunFig2(t *testing.T) {
 }
 
 func TestRunFig3(t *testing.T) {
-	s := setup(t)
-	rows, err := RunFig3(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := results(t).Fig3
 	if len(rows) != 3*len(Fig3Protocols) {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -192,17 +249,11 @@ func TestRunFig3(t *testing.T) {
 				r.SchedulerPct, r.SwitchPct, r.SLO)
 		}
 	}
-	t.Logf("\n%s", FormatFig3(rows))
 }
 
 func TestRunFig4(t *testing.T) {
-	s := setup(t)
-	rows, err := RunFig4(s)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cov := map[string]int{}
-	for _, r := range rows {
+	for _, r := range results(t).Fig4 {
 		cov[r.Protocol] += r.Coverage
 	}
 	// Fixed-branch baselines cover exactly 1 branch per SLO.
@@ -214,15 +265,11 @@ func TestRunFig4(t *testing.T) {
 		t.Errorf("LiteReconfig coverage (%d) should exceed SSD+ (%d)",
 			cov["LiteReconfig"], cov["SSD+"])
 	}
-	t.Logf("\n%s", FormatFig4(rows))
 }
 
 func TestRunFig5(t *testing.T) {
-	s := setup(t)
-	d, err := RunFig5(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := results(t)
+	d := res.Fig5
 	// Small fixture has 2 shapes x 2 nprops = 4 buckets.
 	if len(d.Labels) != 4 {
 		t.Fatalf("labels = %d", len(d.Labels))
@@ -235,7 +282,7 @@ func TestRunFig5(t *testing.T) {
 			t.Fatal("offline diagonal should be zero")
 		}
 	}
-	out := FormatFig5(d)
+	out := formatFig5(res)
 	if !strings.Contains(out, "Figure 5(a)") || !strings.Contains(out, "Figure 5(b)") {
 		t.Fatalf("fig5 malformed:\n%s", out)
 	}
@@ -245,5 +292,41 @@ func TestBuildProtocolUnknown(t *testing.T) {
 	s := setup(t)
 	if _, err := BuildProtocol(s, "nope", Scenario{Device: simlat.TX2, SLO: 50}); err == nil {
 		t.Fatal("unknown protocol should error")
+	}
+}
+
+func TestAblations(t *testing.T) {
+	rows := map[string]AblationRow{}
+	for _, r := range results(t).Ablations {
+		rows[r.Variant+" "+r.Scenario.String()] = r
+	}
+	if len(rows) != len(ablationVariants) {
+		t.Fatalf("%d distinct ablation rows, want %d", len(rows), len(ablationVariants))
+	}
+	get := func(variant string, sc Scenario) AblationRow {
+		t.Helper()
+		r, ok := rows[variant+" "+sc.String()]
+		if !ok {
+			t.Fatalf("no %q row in %v", variant, sc)
+		}
+		return r
+	}
+	deployed := get("deployed", ablationScenario)
+	// The safety column reports the factor the pipeline resolved, not a
+	// hard-coded label.
+	if deployed.SafetyFactor != 0.88 || get("no planning headroom", ablationScenario).SafetyFactor != 1 {
+		t.Errorf("resolved safety factors: deployed %.2f, no headroom %.2f",
+			deployed.SafetyFactor, get("no planning headroom", ablationScenario).SafetyFactor)
+	}
+	if r := get("no switch hysteresis", ablationScenario); r.Switches < deployed.Switches {
+		t.Errorf("hysteresis removal cut switches: %d < %d", r.Switches, deployed.Switches)
+	}
+	if r := get("no feature-cost pricing", ablationScenario); r.SchedulerPct < deployed.SchedulerPct {
+		t.Errorf("unpriced features cut scheduler time: %.1f%% < %.1f%%", r.SchedulerPct, deployed.SchedulerPct)
+	}
+	hot, cold := get("deployed", driftScenario), get("no CPU-drift estimator", driftScenario)
+	if cold.ViolationPct <= hot.ViolationPct {
+		t.Errorf("drift estimator does not cut violations on the throttled board: %.2f%% vs %.2f%% without",
+			hot.ViolationPct, cold.ViolationPct)
 	}
 }

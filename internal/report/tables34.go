@@ -9,7 +9,6 @@ import (
 	"litereconfig/internal/core"
 	"litereconfig/internal/detect"
 	"litereconfig/internal/feat"
-	"litereconfig/internal/fixture"
 	"litereconfig/internal/harness"
 	"litereconfig/internal/simlat"
 )
@@ -24,15 +23,14 @@ type Table3Row struct {
 	OOM      bool
 }
 
-// RunTable3 evaluates the accuracy-optimized baselines and LiteReconfig
+// table3 evaluates the accuracy-optimized baselines and LiteReconfig
 // at its three TX2 SLOs on the validation set.
-func RunTable3(set *fixture.Setup) ([]Table3Row, error) {
-	dev := simlat.TX2
-	var rows []Table3Row
-	add := func(label string, r *harness.Result) {
-		rows = append(rows, Table3Row{
-			Label: label, MAP: r.MAP(), MeanMS: r.Latency.Mean(),
-			MemoryGB: r.MemoryGB, OOM: r.OOM,
+func (r *runner) table3(res *Results) error {
+	set, dev := r.set, simlat.TX2
+	add := func(label string, c *harness.Result) {
+		res.Table3 = append(res.Table3, Table3Row{
+			Label: label, MAP: c.MAP(), MeanMS: c.Latency.Mean(),
+			MemoryGB: c.MemoryGB, OOM: c.OOM,
 		})
 	}
 
@@ -68,20 +66,20 @@ func RunTable3(set *fixture.Setup) ([]Table3Row, error) {
 		p, err := core.NewPipeline(core.Options{Models: set.Models, SLO: slo,
 			Policy: core.PolicyFull})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		r := harness.Evaluate(p, set.Corpus.Val, dev, slo, contend.Fixed{}, 77)
-		add(fmt.Sprintf("LiteReconfig, %.1f ms", slo), r)
+		add(fmt.Sprintf("LiteReconfig, %.1f ms", slo),
+			harness.Evaluate(p, set.Corpus.Val, dev, slo, contend.Fixed{}, 77))
 	}
-	return rows, nil
+	return nil
 }
 
-// FormatTable3 renders Table 3.
-func FormatTable3(rows []Table3Row) string {
+// formatTable3 renders Table 3.
+func formatTable3(res *Results) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 3: accuracy-optimized models vs LiteReconfig (TX2, no contention)\n")
 	fmt.Fprintf(&b, "%-26s %8s %14s %10s\n", "model", "mAP(%)", "mean lat(ms)", "mem(GB)")
-	for _, r := range rows {
+	for _, r := range res.Table3 {
 		if r.OOM {
 			fmt.Fprintf(&b, "%-26s %8s %14s %10.2f\n", r.Label, "OOM", "OOM", r.MemoryGB)
 			continue
@@ -104,38 +102,38 @@ type Table4Row struct {
 // Table4SLOs are the latency objectives of Table 4.
 var Table4SLOs = []float64{33.3, 50, 100}
 
-// RunTable4 evaluates the content features individually.
-func RunTable4(set *fixture.Setup) ([]Table4Row, error) {
-	var rows []Table4Row
+// table4 evaluates the content features individually.
+func (r *runner) table4(res *Results) error {
+	set := r.set
 	for _, slo := range Table4SLOs {
 		// "None": the content-agnostic scheduler.
 		none, err := core.NewPipeline(core.Options{Models: set.Models, SLO: slo,
 			Policy: core.PolicyMinCost})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		r := harness.Evaluate(none, set.Corpus.Val, simlat.TX2, slo, contend.Fixed{}, 55)
-		rows = append(rows, Table4Row{Feature: "none", SLO: slo, MAP: r.MAP()})
+		c := harness.Evaluate(none, set.Corpus.Val, simlat.TX2, slo, contend.Fixed{}, 55)
+		res.Table4 = append(res.Table4, Table4Row{Feature: "none", SLO: slo, MAP: c.MAP()})
 
 		for _, k := range feat.HeavyKinds() {
 			p, err := core.NewPipeline(core.Options{Models: set.Models, SLO: slo,
 				Policy: core.PolicyForceFeature, ForcedFeature: k,
 				IgnoreFeatureOverhead: true})
 			if err != nil {
-				return nil, err
+				return err
 			}
-			r := harness.Evaluate(p, set.Corpus.Val, simlat.TX2, slo, contend.Fixed{}, 55)
-			rows = append(rows, Table4Row{Feature: k.String(), SLO: slo, MAP: r.MAP()})
+			c := harness.Evaluate(p, set.Corpus.Val, simlat.TX2, slo, contend.Fixed{}, 55)
+			res.Table4 = append(res.Table4, Table4Row{Feature: k.String(), SLO: slo, MAP: c.MAP()})
 		}
 	}
-	return rows, nil
+	return nil
 }
 
-// FormatTable4 renders Table 4.
-func FormatTable4(rows []Table4Row) string {
+// formatTable4 renders Table 4.
+func formatTable4(res *Results) string {
 	byFeat := map[string]map[float64]float64{}
 	var order []string
-	for _, r := range rows {
+	for _, r := range res.Table4 {
 		if byFeat[r.Feature] == nil {
 			byFeat[r.Feature] = map[float64]float64{}
 			order = append(order, r.Feature)
