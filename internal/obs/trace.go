@@ -1,9 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -244,16 +245,42 @@ func (o *Observer) Decisions() []Decision {
 	o.mu.Lock()
 	out := append([]Decision(nil), o.decisions...)
 	o.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Stream != out[j].Stream {
-			return out[i].Stream < out[j].Stream
-		}
-		if out[i].Gen != out[j].Gen {
-			return out[i].Gen < out[j].Gen
-		}
-		return out[i].Seq < out[j].Seq
-	})
+	SortDecisions(out)
 	return out
+}
+
+// SortDecisions sorts ds stably into (stream, gen, seq) order, the
+// order the trace writers emit, which replay chains per-stream state
+// in. Input already in that order is left untouched without sorting.
+func SortDecisions(ds []Decision) {
+	type key struct{ stream, gen, seq, at int }
+	keys := make([]key, len(ds))
+	for i := range ds {
+		keys[i] = key{ds[i].Stream, ds[i].Gen, ds[i].Seq, i}
+	}
+	byKey := func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.stream, b.stream), cmp.Compare(a.gen, b.gen),
+			cmp.Compare(a.seq, b.seq), cmp.Compare(a.at, b.at))
+	}
+	if slices.IsSortedFunc(keys, byKey) {
+		return
+	}
+	// Sort small keys rather than the large records; the position breaks
+	// ties, so the order is the stable one. Then move each record once,
+	// following the permutation's cycles: slot k takes record keys[k].at.
+	slices.SortFunc(keys, byKey)
+	for i := range keys {
+		if keys[i].at == i {
+			continue
+		}
+		held, k := ds[i], i
+		for keys[k].at != i {
+			from := keys[k].at
+			ds[k], keys[k].at = ds[from], k
+			k = from
+		}
+		ds[k], keys[k].at = held, k
+	}
 }
 
 // WriteTrace writes the decision trace as JSON Lines, one decision per

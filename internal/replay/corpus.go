@@ -20,10 +20,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"litereconfig/internal/obs"
+	"litereconfig/internal/par"
 )
 
 // TraceFile is one loaded trace: either a scheduler decision trace or a
@@ -92,25 +92,50 @@ func (c *Corpus) SimMS() float64 {
 // everything else decision records. Malformed or truncated files fail
 // loudly (a replay over a silently shortened corpus would report
 // fidelity it never checked).
+//
+// The files load concurrently, each streamed through the obs readers'
+// parallel fast path (see obs.ReadDecisions) without buffering it whole;
+// the type is sniffed from the first record alone. The corpus keeps
+// path order, and when several files fail the error names the first of
+// them in that order, exactly as a sequential load reports it.
 func Load(paths ...string) (*Corpus, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("replay: no trace paths given")
 	}
-	c := &Corpus{}
+	files, listErr := listTraces(paths)
+	c := &Corpus{Files: make([]TraceFile, len(files))}
+	errs := make([]error, len(files))
+	par.For(par.Workers(len(files)), len(files), func(_, i int) {
+		c.Files[i], errs[i] = loadFile(files[i])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	if listErr != nil {
+		return nil, listErr
+	}
+	return c, nil
+}
+
+// listTraces expands paths into trace files in load order. It stops at
+// the first path that cannot be listed and returns the files before it
+// with that error, which ranks after theirs.
+func listTraces(paths []string) ([]string, error) {
+	var files []string
 	for _, p := range paths {
 		info, err := os.Stat(p)
 		if err != nil {
-			return nil, fmt.Errorf("replay: %w", err)
+			return files, fmt.Errorf("replay: %w", err)
 		}
 		if !info.IsDir() {
-			if err := c.loadFile(p); err != nil {
-				return nil, err
-			}
+			files = append(files, p)
 			continue
 		}
 		entries, err := os.ReadDir(p)
 		if err != nil {
-			return nil, fmt.Errorf("replay: %w", err)
+			return files, fmt.Errorf("replay: %w", err)
 		}
 		found := 0
 		for _, e := range entries {
@@ -119,68 +144,110 @@ func Load(paths ...string) (*Corpus, error) {
 				(!strings.HasSuffix(name, ".jsonl") && !strings.HasSuffix(name, ".jsonl.gz")) {
 				continue
 			}
-			if err := c.loadFile(filepath.Join(p, name)); err != nil {
-				return nil, err
-			}
+			files = append(files, filepath.Join(p, name))
 			found++
 		}
 		if found == 0 {
-			return nil, fmt.Errorf("replay: directory %s holds no *.jsonl or *.jsonl.gz traces", p)
+			return files, fmt.Errorf("replay: directory %s holds no *.jsonl or *.jsonl.gz traces", p)
 		}
 	}
-	return c, nil
+	return files, nil
 }
 
-func (c *Corpus) loadFile(path string) error {
-	r, err := obs.OpenTrace(path)
+func loadFile(path string) (TraceFile, error) {
+	rc, err := obs.OpenTrace(path)
 	if err != nil {
-		return fmt.Errorf("replay: %w", err)
+		return TraceFile{}, fmt.Errorf("replay: %w", err)
 	}
-	defer r.Close()
+	defer rc.Close()
+	r := &readErrs{r: rc}
+	tf, err := readTrace(path, r)
+	if err != nil {
+		// Decoding stops at the first bad record, but a read error
+		// anywhere in the file (a corrupt gzip stream) is the cause to
+		// report, as reading the whole file first would; the drain's own
+		// error lands in r.err.
+		io.Copy(io.Discard, r)
+	}
+	if r.err != nil {
+		return TraceFile{}, fmt.Errorf("replay: %s: %w", path, r.err)
+	}
+	return tf, err
+}
 
+// readTrace sniffs the record type from the first record, then decodes
+// the whole stream as that type. Decision and fleet records never share
+// a file, and only fleet events carry a "kind" field.
+func readTrace(path string, r io.Reader) (TraceFile, error) {
 	tf := TraceFile{Path: path}
-	data, err := io.ReadAll(r)
+	var head bytes.Buffer
+	var first json.RawMessage
+	if err := json.NewDecoder(io.TeeReader(r, &head)).Decode(&first); err != nil {
+		if err == io.EOF {
+			return tf, nil // an empty file loads as an empty trace
+		}
+		// Whitespace that JSON does not skip still counts as empty. A
+		// read error here is loadFile's to report.
+		rest, _ := io.ReadAll(r)
+		if len(bytes.TrimSpace(append(head.Bytes(), rest...))) == 0 {
+			return tf, nil
+		}
+		return tf, fmt.Errorf("replay: %s: record 1: %w", path, err)
+	}
+	isFleet, err := hasKindKey(first)
 	if err != nil {
-		return fmt.Errorf("replay: %s: %w", path, err)
+		return tf, fmt.Errorf("replay: %s: record 1: %w", path, err)
 	}
-	if len(bytes.TrimSpace(data)) == 0 {
-		// Empty files load as empty traces.
-		c.Files = append(c.Files, tf)
-		return nil
-	}
-	// Sniff the record type from the first object, then decode the whole
-	// stream as that type. Decision and fleet records never share a
-	// file, and only fleet events carry a "kind" field.
-	var first map[string]json.RawMessage
-	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&first); err != nil {
-		return fmt.Errorf("replay: %s: record 1: %w", path, err)
-	}
-	if _, isFleet := first["kind"]; isFleet {
-		tf.Fleet, err = obs.ReadFleetEvents(bytes.NewReader(data))
-		if err != nil {
-			return fmt.Errorf("replay: %s: %w", path, err)
-		}
+	stream := io.MultiReader(&head, r)
+	if isFleet {
+		tf.Fleet, err = obs.ReadFleetEvents(stream)
 	} else {
-		tf.Decisions, err = obs.ReadDecisions(bytes.NewReader(data))
-		if err != nil {
-			return fmt.Errorf("replay: %s: %w", path, err)
-		}
+		tf.Decisions, err = obs.ReadDecisions(stream)
 		// Replay chains per-stream state in (stream, gen, seq) order; the
 		// writers already emit that order, but enforce it so hand-edited
 		// or concatenated corpora still chain correctly.
-		sort.SliceStable(tf.Decisions, func(i, j int) bool {
-			a, b := &tf.Decisions[i], &tf.Decisions[j]
-			if a.Stream != b.Stream {
-				return a.Stream < b.Stream
-			}
-			if a.Gen != b.Gen {
-				return a.Gen < b.Gen
-			}
-			return a.Seq < b.Seq
-		})
+		obs.SortDecisions(tf.Decisions)
 	}
-	c.Files = append(c.Files, tf)
-	return nil
+	if err != nil {
+		return TraceFile{Path: path}, fmt.Errorf("replay: %s: %w", path, err)
+	}
+	return tf, nil
+}
+
+// hasKindKey reports whether a JSON value is an object with a top-level
+// "kind" key. Keys match as a map decode matches them (unescaped,
+// case-sensitive); a value that is neither an object nor null fails as
+// decoding it into a map fails.
+func hasKindKey(v json.RawMessage) (bool, error) {
+	if v[0] != '{' {
+		var m map[string]json.RawMessage
+		return false, json.Unmarshal(v, &m)
+	}
+	// v decoded as valid JSON, so no token or value below can fail.
+	dec := json.NewDecoder(bytes.NewReader(v))
+	dec.Token() // the opening brace
+	for dec.More() {
+		if key, _ := dec.Token(); key == "kind" {
+			return true, nil
+		}
+		var skip json.RawMessage
+		dec.Decode(&skip)
+	}
+	return false, nil
+}
+
+// readErrs remembers the first read error its reader returned.
+type readErrs struct {
+	r   io.Reader
+	err error
+}
+
+func (e *readErrs) Read(p []byte) (int, error) {
+	n, err := e.r.Read(p)
+	if err != nil && err != io.EOF && e.err == nil {
+		e.err = err
+	}
+	return n, err
 }
 
 // FromDecisions wraps an in-memory decision slice as a single-file
@@ -188,15 +255,6 @@ func (c *Corpus) loadFile(path string) error {
 // they just produced without touching disk.
 func FromDecisions(label string, ds []obs.Decision) *Corpus {
 	out := append([]obs.Decision(nil), ds...)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := &out[i], &out[j]
-		if a.Stream != b.Stream {
-			return a.Stream < b.Stream
-		}
-		if a.Gen != b.Gen {
-			return a.Gen < b.Gen
-		}
-		return a.Seq < b.Seq
-	})
+	obs.SortDecisions(out)
 	return &Corpus{Files: []TraceFile{{Path: label, Decisions: out}}}
 }

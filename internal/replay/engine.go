@@ -9,12 +9,16 @@ import (
 	"litereconfig/internal/glm"
 	"litereconfig/internal/mbek"
 	"litereconfig/internal/obs"
+	"litereconfig/internal/par"
 	"litereconfig/internal/sched"
 )
 
 // Engine re-executes the scheduler over a corpus of replay-enriched
-// decision traces. It is deterministic and single-goroutine; build one
-// per configuration.
+// decision traces; build one per configuration. Replay spreads the
+// corpus's (file, stream, gen) chains over GOMAXPROCS workers, each
+// with its own decision scratch and model clone, and folds their
+// results serially in corpus order, so a Result is bit-identical at any
+// worker count. One Engine serves one Replay call at a time.
 type Engine struct {
 	cfg        Config
 	models     *sched.Models
@@ -26,10 +30,36 @@ type Engine struct {
 	forced      feat.Kind
 	hasOverride bool
 
-	// Per-decision scratch for the decision procedure.
-	in          core.DecisionInput
-	scr         core.FeatureScratch
-	scrSwitchMS []float64
+	// Per-worker scratch, reused across Replay calls.
+	workers []*chainWorker
+}
+
+// chainWorker is one replay worker's decision scratch.
+type chainWorker struct {
+	// models is the engine's bundle when one worker runs, else a private
+	// clone: the predictors write model-owned scratch.
+	models *sched.Models
+	in     core.DecisionInput
+	scr    core.FeatureScratch
+	// switchRows memoizes the offline C(b0, ·) rows, indexed by the
+	// current branch b0 and filled on first use.
+	switchRows [][]float64
+}
+
+// switchRow returns the offline switch-cost row C(cur, ·).
+func (w *chainWorker) switchRow(cur int) []float64 {
+	bs := w.models.Branches
+	if w.switchRows == nil {
+		w.switchRows = make([][]float64, len(bs))
+	}
+	if w.switchRows[cur] == nil {
+		row := make([]float64, len(bs))
+		for bi, b := range bs {
+			row[bi] = mbek.SwitchCostMS(bs[cur], b)
+		}
+		w.switchRows[cur] = row
+	}
+	return w.switchRows[cur]
 }
 
 // New validates the configuration and builds an engine.
@@ -143,24 +173,79 @@ func (r *Result) Divergences() []Redecision {
 // configuration. Decisions lacking the replay payload, or whose payload
 // does not match the engine's branch space, fail loudly — a corpus that
 // cannot be replayed must never read as "replayed with zero
-// divergence".
+// divergence". Chains replay concurrently, each into its own slots of
+// Redecisions; the tallies and means are folded afterwards in corpus
+// order, and the error returned is the first failing chain's in corpus
+// order.
 func (e *Engine) Replay(c *Corpus) (*Result, error) {
-	res := &Result{}
-	var recAcc, recMS, repAcc, repMS weighted
+	type chain struct{ file, lo, hi, at int }
+	var chains []chain
+	total := 0
 	for fi := range c.Files {
-		f := &c.Files[fi]
-		for i := 0; i < len(f.Decisions); {
-			j := i
-			for j < len(f.Decisions) &&
-				f.Decisions[j].Stream == f.Decisions[i].Stream &&
-				f.Decisions[j].Gen == f.Decisions[i].Gen {
+		ds := c.Files[fi].Decisions
+		for i := 0; i < len(ds); {
+			j := i + 1
+			for j < len(ds) && ds[j].Stream == ds[i].Stream && ds[j].Gen == ds[i].Gen {
 				j++
 			}
-			if err := e.replayChain(f.Path, f.Decisions[i:j], res,
-				&recAcc, &recMS, &repAcc, &repMS); err != nil {
-				return nil, err
-			}
+			chains = append(chains, chain{fi, i, j, total})
+			total += j - i
 			i = j
+		}
+	}
+	res := &Result{}
+	if total > 0 {
+		res.Redecisions = make([]Redecision, total)
+	}
+	workers, err := e.startWorkers(par.Workers(len(chains)))
+	if err != nil {
+		return nil, err
+	}
+	errs := make([]error, len(chains))
+	par.For(len(workers), len(chains), func(w, ci int) {
+		ch := chains[ci]
+		f := &c.Files[ch.file]
+		errs[ci] = e.replayChain(workers[w], f.Path, f.Decisions[ch.lo:ch.hi],
+			res.Redecisions[ch.at:ch.at+ch.hi-ch.lo])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	// Outcome accounting, replayed and recorded, both against the replay
+	// SLO, in corpus order. Decisions whose GoF never ran carry no
+	// weight.
+	var recAcc, recMS, repAcc, repMS weighted
+	k := 0
+	for fi := range c.Files {
+		for di := range c.Files[fi].Decisions {
+			d, rd := &c.Files[fi].Decisions[di], &res.Redecisions[k]
+			k++
+			if len(rd.Diverged) > 0 {
+				res.DivergedDecisions++
+			}
+			res.MissingHeavy += rd.MissingHeavy
+			res.Replayed.Decisions++
+			res.Recorded.Decisions++
+			if d.GoFFrames > 0 {
+				w := float64(d.GoFFrames)
+				res.Replayed.GoFs++
+				res.Replayed.Frames += d.GoFFrames
+				repAcc.add(rd.PredAcc, w)
+				repMS.add(rd.EstMS, w)
+				if rd.Attained {
+					res.Replayed.AttainRate += w
+				}
+				res.Recorded.GoFs++
+				res.Recorded.Frames += d.GoFFrames
+				recAcc.add(d.PredAccuracy, w)
+				recMS.add(d.RealizedMS, w)
+				if d.RealizedMS <= rd.SLOMS {
+					res.Recorded.AttainRate += w
+				}
+			}
 		}
 	}
 	res.Replayed.MeanAccuracy = repAcc.mean()
@@ -170,6 +255,24 @@ func (e *Engine) Replay(c *Corpus) (*Result, error) {
 	res.Recorded.MeanMS = recMS.mean()
 	res.Recorded.finishRates()
 	return res, nil
+}
+
+// startWorkers readies n workers' scratch: a single worker decides on
+// the engine's bundle, concurrent ones each on a fresh clone of it.
+func (e *Engine) startWorkers(n int) ([]*chainWorker, error) {
+	for len(e.workers) < n {
+		e.workers = append(e.workers, &chainWorker{})
+	}
+	for _, w := range e.workers[:n] {
+		w.models = e.models
+		if n > 1 {
+			var err error
+			if w.models, err = e.models.Clone(); err != nil {
+				return nil, fmt.Errorf("replay: %w", err)
+			}
+		}
+	}
+	return e.workers[:n], nil
 }
 
 // weighted accumulates a frame-weighted mean.
@@ -191,12 +294,11 @@ func (o *Outcome) finishRates() {
 	}
 }
 
-// replayChain replays one (file, stream, gen) chain in seq order,
-// threading the counterfactual current-branch state and the simulated
-// watchdog level through its decisions.
-func (e *Engine) replayChain(path string, ds []obs.Decision, res *Result,
-	recAcc, recMS, repAcc, repMS *weighted) error {
-
+// replayChain replays one (file, stream, gen) chain in seq order into
+// out (one slot per decision), threading the counterfactual
+// current-branch state and the simulated watchdog level through its
+// decisions.
+func (e *Engine) replayChain(w *chainWorker, path string, ds []obs.Decision, out []Redecision) error {
 	curIdx := -1 // replayed current branch (chained), -1 before the first decision
 	simLevel := 0
 	// Until the replay's branch choice first diverges from the recording
@@ -206,38 +308,11 @@ func (e *Engine) replayChain(path string, ds []obs.Decision, res *Result,
 	// first divergence on, the counterfactual branch chains forward.
 	chainDiverged := false
 	for di := range ds {
-		d := &ds[di]
-		rd, err := e.redecide(path, d, &curIdx, &simLevel, &chainDiverged)
+		rd, err := e.redecide(w, path, &ds[di], &curIdx, &simLevel, &chainDiverged)
 		if err != nil {
 			return err
 		}
-		res.Redecisions = append(res.Redecisions, rd)
-		if len(rd.Diverged) > 0 {
-			res.DivergedDecisions++
-		}
-		res.MissingHeavy += rd.MissingHeavy
-
-		// Outcome accounting, replayed and recorded, both against the
-		// replay SLO. Decisions whose GoF never ran carry no weight.
-		res.Replayed.Decisions++
-		res.Recorded.Decisions++
-		if d.GoFFrames > 0 {
-			w := float64(d.GoFFrames)
-			res.Replayed.GoFs++
-			res.Replayed.Frames += d.GoFFrames
-			repAcc.add(rd.PredAcc, w)
-			repMS.add(rd.EstMS, w)
-			if rd.Attained {
-				res.Replayed.AttainRate += w
-			}
-			res.Recorded.GoFs++
-			res.Recorded.Frames += d.GoFFrames
-			recAcc.add(d.PredAccuracy, w)
-			recMS.add(d.RealizedMS, w)
-			if d.RealizedMS <= rd.SLOMS {
-				res.Recorded.AttainRate += w
-			}
-		}
+		out[di] = rd
 	}
 	return nil
 }
@@ -246,7 +321,8 @@ func (e *Engine) replayChain(path string, ds []obs.Decision, res *Result,
 // decision's payload, under the engine's knob overrides. With unchanged
 // knobs the input is the one the live scheduler built, so the result is
 // bit-identical to the recording.
-func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, chainDiverged *bool) (Redecision, error) {
+func (e *Engine) redecide(w *chainWorker, path string, d *obs.Decision, curIdx, simLevel *int, chainDiverged *bool) (Redecision, error) {
+	m := w.models
 	at := func() string {
 		return fmt.Sprintf("%s: stream %d gen %d seq %d", path, d.Stream, d.Gen, d.Seq)
 	}
@@ -254,7 +330,7 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 	if rp == nil {
 		return Redecision{}, fmt.Errorf("replay: %s: decision has no replay payload (record the trace with the replay flag on)", at())
 	}
-	n := len(e.models.Branches)
+	n := len(m.Branches)
 	if rp.NumBranches != n {
 		return Redecision{}, fmt.Errorf("replay: %s: trace recorded %d branches, models have %d — wrong model bundle", at(), rp.NumBranches, n)
 	}
@@ -264,19 +340,19 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 	if rp.SwitchMS != nil && len(rp.SwitchMS) != n {
 		return Redecision{}, fmt.Errorf("replay: %s: switch_ms table truncated (%d, want %d)", at(), len(rp.SwitchMS), n)
 	}
-	if want := len(e.models.LightNorm.Mean); len(rp.Light) != want {
+	if want := len(m.LightNorm.Mean); len(rp.Light) != want {
 		return Redecision{}, fmt.Errorf("replay: %s: payload light vector has %d dims, models want %d", at(), len(rp.Light), want)
 	}
-	in := &e.in
-	*in = core.DecisionInput{Branches: e.models.Branches, Ben: e.models.Ben, Cur: -1}
+	in := &w.in
+	*in = core.DecisionInput{Branches: m.Branches, Ben: m.Ben, Cur: -1}
 	for _, k := range e.heavyKinds {
 		c, ok := rp.FeatCostMS[k.String()]
 		if !ok {
 			return Redecision{}, fmt.Errorf("replay: %s: payload has no cost for feature %v", at(), k)
 		}
 		in.FeatCostMS[k] = c
-		if vec, ok := rp.Heavy[k.String()]; ok && len(vec) != len(e.models.HeavyNorm[k].Mean) {
-			return Redecision{}, fmt.Errorf("replay: %s: payload %v vector has %d dims, models want %d", at(), k, len(vec), len(e.models.HeavyNorm[k].Mean))
+		if vec, ok := rp.Heavy[k.String()]; ok && len(vec) != len(m.HeavyNorm[k].Mean) {
+			return Redecision{}, fmt.Errorf("replay: %s: payload %v vector has %d dims, models want %d", at(), k, len(vec), len(m.HeavyNorm[k].Mean))
 		}
 	}
 
@@ -334,11 +410,7 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 		if in.Cur == recordedCur && rp.SwitchMS != nil {
 			in.SwitchMS = rp.SwitchMS
 		} else {
-			e.scrSwitchMS = e.scrSwitchMS[:0]
-			for _, b := range e.models.Branches {
-				e.scrSwitchMS = append(e.scrSwitchMS, mbek.SwitchCostMS(e.models.Branches[in.Cur], b))
-			}
-			in.SwitchMS = e.scrSwitchMS
+			in.SwitchMS = w.switchRow(in.Cur)
 		}
 	}
 
@@ -356,17 +428,17 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 	// the recorded feature vectors + scale factors (UseModelPredictions).
 	in.AccLight, in.KernelMS = rp.AccLight, rp.KernelMS
 	if e.cfg.UseModelPredictions {
-		in.AccLight = e.models.PredictAccuracyLight(rp.Light)
-		cpuAdj := e.models.CPUAdjFactor()
+		in.AccLight = m.PredictAccuracyLight(rp.Light)
+		cpuAdj := m.CPUAdjFactor()
 		in.KernelMS = make([]float64, n)
 		for bi := range in.KernelMS {
-			det, trk := e.models.PredictLatency(bi, rp.Light)
-			in.KernelMS[bi] = det*rp.GPUScale + trk*rp.CPUScale*cpuAdj + e.models.LatencyBiasMS(bi)
+			det, trk := m.PredictLatency(bi, rp.Light)
+			in.KernelMS[bi] = det*rp.GPUScale + trk*rp.CPUScale*cpuAdj + m.LatencyBiasMS(bi)
 		}
 	}
 
 	// Step 2: decide the heavy feature set.
-	selected, _ := in.SelectFeatures(&e.scr)
+	selected, _ := in.SelectFeatures(&w.scr)
 
 	// Step 3: map the selected set onto the recorded extraction
 	// environment. Recorded extraction failures fail again (they are
@@ -404,7 +476,7 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 	case len(extracted) == 0:
 		in.Acc = in.AccLight
 	default:
-		in.Acc = e.models.PredictAccuracySet(extracted, rp.Light, heavy)
+		in.Acc = m.PredictAccuracySet(extracted, rp.Light, heavy)
 	}
 
 	// Scheduler spend: the recorded realization when the feature set is
@@ -442,15 +514,15 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 		in.RiskF = make([]float64, n)
 		in.FailP = make([]float64, n)
 		for bi := 0; bi < n; bi++ {
-			in.RiskF[bi] = e.models.QuantileFactor(bi, z)
-			in.FailP[bi] = e.models.PredictFailProb(bi, rp.Light)
+			in.RiskF[bi] = m.QuantileFactor(bi, z)
+			in.FailP[bi] = m.PredictFailProb(bi, rp.Light)
 		}
 	}
 
 	// Step 4: constrained optimization (Eq. 3).
 	ch := in.ChooseBranch()
 	predAcc := in.Acc[ch.Branch]
-	branchName := e.models.Branches[ch.Branch].String()
+	branchName := m.Branches[ch.Branch].String()
 
 	// Fidelity comparison against the recording.
 	var diverged []string

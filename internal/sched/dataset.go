@@ -9,13 +9,11 @@ package sched
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"litereconfig/internal/detect"
 	"litereconfig/internal/feat"
 	"litereconfig/internal/mbek"
+	"litereconfig/internal/par"
 	"litereconfig/internal/simlat"
 	"litereconfig/internal/vid"
 )
@@ -172,7 +170,8 @@ func Collect(cfg Config, videos []*vid.Video) *Dataset {
 		}
 	}
 	groups := detConfigGroups(cfg.Branches)
-	parallelFor(len(snips)*len(groups), func(i int) {
+	n := len(snips) * len(groups)
+	par.For(par.Workers(n), n, func(_, i int) {
 		sn, g := snips[i/len(groups)], groups[i%len(groups)]
 		seeds := make([]int64, len(g.idx))
 		for j, bi := range g.idx {
@@ -213,25 +212,6 @@ func detConfigGroups(branches []mbek.Branch) []branchGroup {
 		groups[gi].idx = append(groups[gi].idx, bi)
 	}
 	return groups
-}
-
-// parallelFor runs fn(0) … fn(n-1) on GOMAXPROCS workers and returns
-// when all have finished. Work is handed out in index order; fn must
-// touch only state that belongs to its own index.
-func parallelFor(n int, fn func(i int)) {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // windowMeans folds a per-frame latency series into per-window means of

@@ -79,18 +79,6 @@ func TestCollectTrainIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
-func TestParallelForVisitsEveryIndexOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 64} {
-		seen := make([]int, n)
-		parallelFor(n, func(i int) { seen[i]++ })
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, c)
-			}
-		}
-	}
-}
-
 // Digests of tinyConfig's dataset and model (Epochs 200, six 80-frame
 // videos), recorded before the label cells shared detector passes and
 // before mAP scoring and the dense kernels were restructured. Every one

@@ -12,6 +12,7 @@ import (
 	"litereconfig/internal/linreg"
 	"litereconfig/internal/mbek"
 	"litereconfig/internal/nn"
+	"litereconfig/internal/par"
 )
 
 // Models bundles everything the online scheduler loads: the branch space,
@@ -237,7 +238,7 @@ func Train(cfg Config, ds *Dataset) (*Models, error) {
 			Out: len(cfg.Branches), Seed: cfg.Seed + 200 + int64(k),
 		})
 	}
-	parallelFor(len(kinds), func(ki int) {
+	par.For(par.Workers(len(kinds)), len(kinds), func(_, ki int) {
 		tt := trainer
 		tt.Seed += int64(kinds[ki])
 		tt.L2 = 1e-3
