@@ -227,7 +227,8 @@ type Adapter struct {
 	accMX, accMY, accMXX, accMXY float64
 	accN                         int
 
-	switches map[branchPair]*switchEstimate
+	switches  map[branchPair]*switchEstimate
+	switchRev int // bumped on every change to switches
 
 	versionLabel string
 	promSeq      int
@@ -341,6 +342,7 @@ func (a *Adapter) ObserveSwitch(from, to mbek.Branch, costMS float64) {
 	if limit := 4*model + 10; costMS > limit {
 		costMS = limit
 	}
+	a.switchRev++
 	key := branchPair{from, to}
 	e := a.switches[key]
 	if e == nil {
@@ -350,6 +352,10 @@ func (a *Adapter) ObserveSwitch(from, to mbek.Branch, costMS float64) {
 	e.ms = (1-a.cfg.SwitchAlpha)*e.ms + a.cfg.SwitchAlpha*costMS
 	e.n++
 }
+
+// SwitchRev counts the changes to the observed C(b0, b) table: a
+// caller that caches SwitchCostMS answers reprices when it moves.
+func (a *Adapter) SwitchRev() int { return a.switchRev }
 
 // SwitchCostMS returns the observed estimate for a (from, to) pair once
 // it has enough samples; ok is false when the scheduler should fall

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+
+	"litereconfig/internal/fastrand"
 )
 
 // Generator yields the GPU contention level (in [0, 0.99]) in effect at a
@@ -79,6 +81,7 @@ type Walk struct {
 	// caller a stale backing array.
 	mu     sync.Mutex
 	levels []float64
+	rng    *rand.Rand // reseeded per step, under mu
 }
 
 // Level implements Generator. Levels are generated lazily and memoized so
@@ -104,7 +107,11 @@ func (w *Walk) Level(frame int) float64 {
 	for len(w.levels) <= frame {
 		// One RNG per step, seeded by the step index, so levels are
 		// identical whether queried in order or at random.
-		rng := rand.New(rand.NewSource(w.Seed + int64(len(w.levels))))
+		if w.rng == nil {
+			w.rng = rand.New(fastrand.New(0))
+		}
+		rng := w.rng
+		rng.Seed(w.Seed + int64(len(w.levels)))
 		prev := w.levels[len(w.levels)-1]
 		next := prev + (rng.Float64()*2-1)*step
 		if next < 0 {

@@ -92,6 +92,11 @@ type DecisionInput struct {
 // returned set aliases it until the next call.
 type FeatureScratch struct {
 	set, remaining, cand []feat.Kind
+	// live lists the branches that fit the budget with no heavy feature,
+	// in ascending order; prunable says the pruned scan is exact. all
+	// lists every branch, for the full scan.
+	live, all []int32
+	prunable  bool
 }
 
 // SelectFeatures is Step 2: the variant's heavy-feature set. The full
@@ -134,7 +139,7 @@ func (in *DecisionInput) analyze(scr *FeatureScratch) ([]feat.Kind, float64) {
 	stallCap := stallFactor * in.SLOMS
 
 	set := scr.set[:0]
-	curVal := in.value(set)
+	curVal := in.value(set, scr)
 	baseVal := curVal
 	remaining := scr.remaining[:0]
 	for _, k := range heavyKinds {
@@ -148,7 +153,7 @@ func (in *DecisionInput) analyze(scr *FeatureScratch) ([]feat.Kind, float64) {
 		for i, cand := range remaining {
 			trial := append(append(scr.cand[:0], set...), cand)
 			scr.cand = trial
-			if v := in.value(trial); v > bestVal+1e-9 {
+			if v := in.value(trial, scr); v > bestVal+1e-9 {
 				bestVal = v
 				bestIdx = i
 			}
@@ -172,27 +177,62 @@ func (in *DecisionInput) analyze(scr *FeatureScratch) ([]feat.Kind, float64) {
 // the best feasible content-agnostic accuracy plus the set's tabled
 // benefit minus the accuracy-equivalent price of the scheduler latency
 // it spends, or -Inf when no branch fits.
-func (in *DecisionInput) value(set []feat.Kind) float64 {
+//
+// The empty set is analyze's first query; its scan records the
+// branches that fit into scr.live. A heavy feature only adds cost: for
+// a set whose summed cost is >= 0, every term of a branch's admission
+// test is at least its empty-set value, because IEEE rounding is
+// monotone (and dividing by a positive GoF keeps the order), so a
+// branch that failed the test then fails it now. The scan of such a
+// set visits only scr.live, in the same ascending order, and finds the
+// same best branch and kernel budget as the full scan. A negative or
+// NaN summed cost, or a branch with a GoF below 1, falls back to the
+// full scan.
+func (in *DecisionInput) value(set []feat.Kind, scr *FeatureScratch) float64 {
 	var featCost float64
 	for _, kind := range set {
 		featCost += in.FeatCostMS[kind]
 	}
+	record := len(set) == 0
+	idx := scr.live
+	if record || !scr.prunable || !(featCost >= 0) {
+		if len(scr.all) != len(in.Branches) {
+			scr.all = scr.all[:0]
+			for bi := range in.Branches {
+				scr.all = append(scr.all, int32(bi))
+			}
+		}
+		idx = scr.all
+	}
+	if record {
+		scr.live, scr.prunable = scr.live[:0], true
+	}
 	best := math.Inf(-1)
 	kernelBudget := 0.0
 	bestGoF := 1.0
-	for bi, b := range in.Branches {
-		over := in.S0MS + featCost
-		if in.HasCur && !in.NoSwitch {
+	base := in.S0MS + featCost
+	withSwitch := in.HasCur && !in.NoSwitch
+	for _, bi := range idx {
+		gof := in.Branches[bi].GoF
+		over := base
+		if withSwitch {
 			over += in.SwitchMS[bi]
 		}
-		if in.KernelMS[bi]+over/float64(b.GoF) > in.BudgetMS {
+		perFrame := over / float64(gof)
+		if record && gof < 1 {
+			scr.prunable = false
+		}
+		if in.KernelMS[bi]+perFrame > in.BudgetMS {
 			continue
+		}
+		if record {
+			scr.live = append(scr.live, bi)
 		}
 		if in.AccLight[bi] > best {
 			best = in.AccLight[bi]
-			bestGoF = float64(b.GoF)
+			bestGoF = float64(gof)
 		}
-		if kb := in.BudgetMS - over/float64(b.GoF); kb > kernelBudget {
+		if kb := in.BudgetMS - perFrame; kb > kernelBudget {
 			kernelBudget = kb
 		}
 	}

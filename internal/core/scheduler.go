@@ -257,9 +257,9 @@ type Scheduler struct {
 	in           DecisionInput
 	scrSel       FeatureScratch
 	scrLight     []float64
+	scrLightNorm []float64
 	scrAccLight  []float64
 	scrKernelMS  []float64
-	scrSwitchMS  []float64
 	scrAcc       []float64
 	scrHeavy     map[feat.Kind][]float64
 	scrVec       [feat.NumKinds][]float64 // extracted heavy vectors
@@ -267,6 +267,11 @@ type Scheduler struct {
 	scrFailed    []feat.Kind
 	scrRiskF     []float64 // per-branch quantile inflation factors
 	scrFailP     []float64 // per-branch tracker-failure probabilities
+
+	// sw caches C(cur, ·) across decisions: switches happen on a minority
+	// of GoFs, so the row is repriced only when the current branch, the
+	// branch space or the adapter's observed switch table changes.
+	sw switchRow
 
 	// riskZ is the cached normal z-score of Options.RiskQuantile, so
 	// the per-decision risk path never touches the inverse CDF.
@@ -391,16 +396,47 @@ func (s *Scheduler) ObserveSwitch(from, to mbek.Branch, costMS float64) {
 	}
 }
 
-// switchCostMS prices a reconfiguration: the adapter's observed
-// estimate once it has enough samples for the pair, the offline
-// C(b0, b) model otherwise.
-func (s *Scheduler) switchCostMS(from, to mbek.Branch) float64 {
+// switchRow is the cached C(cur, ·) row and the state it was priced
+// under.
+type switchRow struct {
+	row   []float64
+	cur   mbek.Branch
+	idx   int          // cur's index in the space, -1 when absent
+	space *mbek.Branch // &branches[0] of the space the row prices
+	rev   int          // the adapter's SwitchRev at pricing time
+	valid bool
+}
+
+// switchRow returns C(cur, ·) over the model's branches, and cur's index
+// among them (-1 when absent): the adapter's
+// observed estimate for each pair that has enough samples, the offline
+// C(b0, b) model otherwise. The row is repriced only when the current
+// branch, the branch space or the adapter's switch table changed since
+// the last call, so it always equals a fresh pricing.
+func (s *Scheduler) switchRow(cur mbek.Branch) ([]float64, int) {
+	bs := s.models.Branches
+	rev := 0
 	if s.adapter != nil {
-		if ms, ok := s.adapter.SwitchCostMS(from, to); ok {
-			return ms
+		rev = s.adapter.SwitchRev()
+	}
+	sw := &s.sw
+	if sw.valid && sw.cur == cur && sw.space == &bs[0] && len(sw.row) == len(bs) && sw.rev == rev {
+		return sw.row, sw.idx
+	}
+	sw.row = mbek.SwitchCostRow(slices.Grow(sw.row[:0], len(bs))[:len(bs)], cur, bs)
+	sw.idx = -1
+	for bi, b := range bs {
+		if b == cur {
+			sw.idx = bi
+		}
+		if s.adapter != nil {
+			if ms, ok := s.adapter.SwitchCostMS(cur, b); ok {
+				sw.row[bi] = ms
+			}
 		}
 	}
-	return mbek.SwitchCostMS(from, to)
+	sw.cur, sw.space, sw.rev, sw.valid = cur, &bs[0], rev, true
+	return sw.row, sw.idx
 }
 
 // SetInjector attaches the stream's fault injector (nil detaches) and
@@ -413,6 +449,11 @@ func (s *Scheduler) SetInjector(inj *fault.Injector) {
 	s.degradeLevel = 0
 	s.overruns = 0
 	s.lastHeavy = false
+	if s.degradationActive() {
+		// Build the fresh breaker now rather than on the first GoF, so
+		// seeding its random source stays off the per-GoF path.
+		s.ensureBreaker()
+	}
 }
 
 // degradationActive reports whether the watchdog and breaker are live.
@@ -518,26 +559,47 @@ func (s *Scheduler) assumedDevice(clock *simlat.Clock) simlat.Device {
 	return clock.Device()
 }
 
+// pricing holds the per-decision constants of estimate: the planning
+// device's speed factors, the contention multiplier of the scheduler's
+// view of contention, and the CPU drift ratio. None of them changes
+// within a decision, so Decide reads them once instead of per estimate.
+type pricing struct {
+	gpuFactor, gpuMult float64
+	cpuFactor, cpuMult float64
+	cpuDrift           bool // multiply CPU estimates by cpuMult
+}
+
+// prices captures the current constants: the sensed contention by
+// default, the simulator's ground truth with OracleContention.
+func (s *Scheduler) prices(clock *simlat.Clock) pricing {
+	dev := s.assumedDevice(clock)
+	g := s.sensor.Level()
+	if s.opts.OracleContention {
+		g = clock.Contention()
+	}
+	p := pricing{
+		gpuFactor: dev.Factor(simlat.GPU),
+		gpuMult:   simlat.ContentionMultiplier(g),
+		cpuFactor: dev.Factor(simlat.CPU),
+	}
+	if s.drift != nil && !s.opts.DisableDriftCompensation {
+		p.cpuMult, p.cpuDrift = s.drift.Ratio(), true
+	}
+	return p
+}
+
 // estimate prices a base cost under the device and the scheduler's view
-// of contention — the sensed estimate by default, the simulator's ground
-// truth with OracleContention.
-func (s *Scheduler) estimate(clock *simlat.Clock, class simlat.OpClass, baseMS float64) float64 {
+// of contention (GPU) or drift (CPU), as (base·factor)·multiplier.
+func (p *pricing) estimate(class simlat.OpClass, baseMS float64) float64 {
 	if baseMS <= 0 {
 		return 0
 	}
-	dev := s.assumedDevice(clock)
-	est := baseMS * dev.Factor(class)
-	switch class {
-	case simlat.GPU:
-		if s.opts.OracleContention {
-			est *= simlat.ContentionMultiplier(clock.Contention())
-		} else {
-			est *= simlat.ContentionMultiplier(s.sensor.Level())
-		}
-	case simlat.CPU:
-		if s.drift != nil && !s.opts.DisableDriftCompensation {
-			est *= s.drift.Ratio()
-		}
+	if class == simlat.GPU {
+		return baseMS * p.gpuFactor * p.gpuMult
+	}
+	est := baseMS * p.cpuFactor
+	if p.cpuDrift {
+		est *= p.cpuMult
 	}
 	return est
 }
@@ -570,8 +632,10 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 	s.scrLight = feat.LightVectorInto(s.scrLight, v, f)
 	light := s.scrLight
 	clock.Charge(CompScheduler, lightSpec.PredictClass, lightSpec.PredictMS)
-	s.scrAccLight = s.models.PredictAccuracyLightInto(s.scrAccLight, light)
+	s.scrLightNorm = s.models.LightNorm.ApplyInto(s.scrLightNorm, light)
+	s.scrAccLight = s.models.PredictAccuracyNormInto(s.scrAccLight, s.scrLightNorm)
 	accLight := s.scrAccLight
+	pr := s.prices(clock)
 
 	// Per-branch kernel latency estimate under the current device and
 	// contention level: detector share scales with GPU contention, the
@@ -582,8 +646,8 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 	cpuAdj := s.models.CPUAdjFactor()
 	for bi := range s.models.Branches {
 		det, trk := s.models.PredictLatency(bi, light)
-		kernelMS[bi] = s.estimate(clock, simlat.GPU, det) +
-			s.estimate(clock, simlat.CPU, trk)*cpuAdj +
+		kernelMS[bi] = pr.estimate(simlat.GPU, det) +
+			pr.estimate(simlat.CPU, trk)*cpuAdj +
 			s.models.LatencyBiasMS(bi)
 	}
 
@@ -600,8 +664,8 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 		SafetyFactor: s.opts.SafetyFactor,
 		Hysteresis:   s.opts.Hysteresis,
 		CostWeight:   s.opts.CostWeight,
-		S0MS: s.estimate(clock, lightSpec.ExtractClass, lightSpec.ExtractMS) +
-			s.estimate(clock, lightSpec.PredictClass, lightSpec.PredictMS),
+		S0MS: pr.estimate(lightSpec.ExtractClass, lightSpec.ExtractMS) +
+			pr.estimate(lightSpec.PredictClass, lightSpec.PredictMS),
 		Policy:         s.opts.Policy,
 		Forced:         s.opts.ForcedFeature,
 		ManageOverhead: s.opts.Policy.ManagesOverhead(),
@@ -612,17 +676,12 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 		KernelMS:       kernelMS,
 	}
 	if hasCur {
-		s.scrSwitchMS = slices.Grow(s.scrSwitchMS[:0], n)[:n]
-		in.SwitchMS = s.scrSwitchMS
-		for bi, b := range s.models.Branches {
-			if b == cur {
-				in.Cur = bi
-			}
-			in.SwitchMS[bi] = s.switchCostMS(cur, b)
-		}
+		in.SwitchMS, in.Cur = s.switchRow(cur)
 	}
 	for _, kind := range heavyKinds {
-		in.FeatCostMS[kind] = s.featureCost(clock, kind)
+		spec := feat.SpecOf(kind)
+		in.FeatCostMS[kind] = pr.estimate(spec.ExtractClass, spec.ExtractSharedMS) +
+			pr.estimate(spec.PredictClass, spec.PredictMS)
 	}
 
 	// Risk tables for probabilistic admission. The quantile factor lifts
@@ -704,7 +763,7 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 		}
 		s.lastHeavy = len(extracted) > 0
 	}
-	s.scrAcc = s.models.PredictAccuracySetInto(s.scrAcc, extracted, light, heavy)
+	s.scrAcc = s.models.PredictAccuracySetInto(s.scrAcc, extracted, accLight, s.scrLightNorm, heavy)
 	in.Acc = s.scrAcc
 
 	// Step 4: constrained optimization (Eq. 3).
@@ -728,8 +787,8 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 		s.adapter.Begin(adapt.Sample{
 			Branch:     best,
 			Light:      light,
-			GPUScale:   s.estimate(clock, simlat.GPU, 1),
-			CPUScale:   s.estimate(clock, simlat.CPU, 1),
+			GPUScale:   pr.estimate(simlat.GPU, 1),
+			CPUScale:   pr.estimate(simlat.CPU, 1),
 			OverheadMS: over,
 			PredMS:     ch.PredMS,
 			PredAcc:    in.Acc[best],
@@ -772,7 +831,7 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 			d.FailedFeatures = append(d.FailedFeatures, kind.String())
 		}
 		if s.opts.ReplayTrace {
-			d.Replay = s.replayPayload(clock, cur, cpuAdj, light, extracted, heavy)
+			d.Replay = s.replayPayload(&pr, cur, cpuAdj, light, extracted, heavy)
 		}
 	}
 	return s.models.Branches[best]
@@ -782,7 +841,7 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 // counterfactual replay. Everything is copied — the scratch slices are
 // reused by the next Decide — and every read is passive, so the
 // decision stream is identical with capture off.
-func (s *Scheduler) replayPayload(clock *simlat.Clock, cur mbek.Branch, cpuAdj float64,
+func (s *Scheduler) replayPayload(pr *pricing, cur mbek.Branch, cpuAdj float64,
 	light []float64, extracted []feat.Kind, heavy map[feat.Kind][]float64) *obs.ReplayPayload {
 	in := &s.in
 	rp := &obs.ReplayPayload{
@@ -796,8 +855,8 @@ func (s *Scheduler) replayPayload(clock *simlat.Clock, cur mbek.Branch, cpuAdj f
 		ManageOverhead:    in.ManageOverhead,
 		DisableSwitchCost: in.NoSwitch,
 		HasCur:            in.HasCur,
-		GPUScale:          s.estimate(clock, simlat.GPU, 1),
-		CPUScale:          s.estimate(clock, simlat.CPU, 1),
+		GPUScale:          pr.estimate(simlat.GPU, 1),
+		CPUScale:          pr.estimate(simlat.CPU, 1),
 		CPUAdj:            cpuAdj,
 		NumBranches:       len(in.Branches),
 		Light:             append([]float64(nil), light...),
@@ -832,12 +891,4 @@ func (s *Scheduler) replayPayload(clock *simlat.Clock, cur mbek.Branch, cpuAdj f
 		rp.FailProb = append([]float64(nil), in.FailP...)
 	}
 	return rp
-}
-
-// featureCost estimates the extract+predict cost of a heavy feature under
-// the current device and contention, without charging the clock.
-func (s *Scheduler) featureCost(clock *simlat.Clock, kind feat.Kind) float64 {
-	spec := feat.SpecOf(kind)
-	return s.estimate(clock, spec.ExtractClass, spec.ExtractSharedMS) +
-		s.estimate(clock, spec.PredictClass, spec.PredictMS)
 }

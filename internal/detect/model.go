@@ -218,7 +218,18 @@ func detSeed(v *vid.Video, frame int, m Model, cfg Config) int64 {
 // branches of one configuration). Callers must therefore treat the
 // returned slice as read-only.
 func (m Model) Detect(v *vid.Video, f vid.Frame, cfg Config) []metric.Detection {
-	rng := rand.New(fastrand.New(detSeed(v, f.Index, m, cfg)))
+	return m.DetectWith(NewRand(), v, f, cfg)
+}
+
+// NewRand returns a source for DetectWith.
+func NewRand() *rand.Rand { return rand.New(fastrand.New(0)) }
+
+// DetectWith is Detect drawing from rng, which it reseeds in place
+// before the pass, so the result is Detect's whatever rng drew before.
+// A caller that runs many passes keeps one NewRand source for all of
+// them instead of allocating a fresh one per pass.
+func (m Model) DetectWith(rng *rand.Rand, v *vid.Video, f vid.Frame, cfg Config) []metric.Detection {
+	rng.Seed(detSeed(v, f.Index, m, cfg))
 	short := v.ShortSide()
 	clutter := v.Profile.Clutter
 	var out []metric.Detection

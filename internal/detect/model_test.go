@@ -292,3 +292,26 @@ func TestMinScoreTradeoff(t *testing.T) {
 		t.Fatalf("extreme threshold should hurt recall: %.3f >= %.3f", extreme, none)
 	}
 }
+
+// TestDetectWithMatchesDetect checks that a reused, reseeded source
+// gives every pass exactly Detect's output, whatever it drew before.
+func TestDetectWithMatchesDetect(t *testing.T) {
+	v := vid.Generate("detect-with", 3, vid.GenConfig{Frames: 12})
+	rng := NewRand()
+	for _, m := range []Model{FasterRCNN, SELSA} {
+		for _, cfg := range []Config{{Shape: 576, NProp: 100}, {Shape: 224, NProp: 10}} {
+			for _, f := range v.Frames {
+				rng.Float64() // leftover state from an unrelated draw
+				got, want := m.DetectWith(rng, v, f, cfg), m.Detect(v, f, cfg)
+				if len(got) != len(want) {
+					t.Fatalf("%s %v frame %d: %d detections, Detect gives %d", m.Name, cfg, f.Index, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s %v frame %d: detection %d = %+v, Detect gives %+v", m.Name, cfg, f.Index, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -32,6 +32,7 @@ import (
 	"strings"
 
 	"litereconfig/internal/contend"
+	"litereconfig/internal/fastrand"
 )
 
 // Class identifies a fault family.
@@ -230,6 +231,9 @@ type Injector struct {
 	firedPanic map[int]bool
 
 	counts [NumClasses]int
+
+	// rng is every draw's source, reseeded in place per draw.
+	rng *rand.Rand
 }
 
 // NewInjector builds a rate-driven injector. streamSeed is the stream's
@@ -241,6 +245,7 @@ func NewInjector(cfg Config, streamSeed int64) *Injector {
 		seed:       cfg.Seed*1000003 + streamSeed*40503,
 		firedPlan:  map[int]bool{},
 		firedPanic: map[int]bool{},
+		rng:        rand.New(fastrand.New(0)),
 	}
 }
 
@@ -253,13 +258,16 @@ func FromPlan(p Plan) *Injector {
 
 // draw returns the deterministic uniform draw for (class, frame, salt).
 // The key is a hash, not a sequence position, so draws are identical
-// whether frames are queried in order, backwards, or with gaps.
+// whether frames are queried in order, backwards, or with gaps. The
+// returned source is the injector's own, reseeded with the key; it is
+// valid until the next draw.
 func (in *Injector) draw(class Class, frame int, salt int64) *rand.Rand {
 	h := in.seed
 	h = h*1000003 + int64(class+1)*7919
 	h = h*1000003 + int64(frame)*2654435761
 	h = h*1000003 + salt
-	return rand.New(rand.NewSource(h))
+	in.rng.Seed(h)
+	return in.rng
 }
 
 // takePlan fires (at most one per call) an unfired plan event of the

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"litereconfig/internal/contend"
@@ -314,4 +315,28 @@ func FuzzParseBoardSpecs(f *testing.F) {
 			checkRanges(t, spec, cfg)
 		}
 	})
+}
+
+// TestDrawMatchesFreshSource checks the injector's reused, reseeded
+// source against a fresh math/rand source for every draw key.
+func TestDrawMatchesFreshSource(t *testing.T) {
+	in := NewInjector(Config{Seed: 9, SpikeRate: 0.5}, 4)
+	for frame := 0; frame < 50; frame++ {
+		for class := Class(0); int(class) < NumClasses; class++ {
+			h := in.seed
+			h = h*1000003 + int64(class+1)*7919
+			h = h*1000003 + int64(frame)*2654435761
+			h = h*1000003 + int64(frame%3)
+			want := rand.New(rand.NewSource(h))
+			got := in.draw(class, frame, int64(frame%3))
+			for i := 0; i < 4; i++ {
+				if g, w := got.Float64(), want.Float64(); g != w {
+					t.Fatalf("class %v frame %d draw %d: %v, fresh source gives %v", class, frame, i, g, w)
+				}
+			}
+			if g, w := got.Intn(7), want.Intn(7); g != w {
+				t.Fatalf("class %v frame %d: Intn %d, fresh source gives %d", class, frame, g, w)
+			}
+		}
+	}
 }

@@ -72,16 +72,18 @@ func (e *Extractor) Extract(k Kind, v *vid.Video, f vid.Frame) []float64 {
 	panic(fmt.Sprintf("feat: unknown kind %d", k))
 }
 
-// ExtractInto is Extract writing the embedding features (ResNet50,
-// MobileNetV2) into dst, grown only when its capacity is short — the
-// allocation-free variant for the scheduler's per-GoF hot path. The
-// raster and proposal features still return a fresh slice.
+// ExtractInto is Extract writing the embedding and proposal features
+// (ResNet50, MobileNetV2, CPoP) into dst, grown only when its capacity
+// is short — the allocation-free variant for the scheduler's per-GoF
+// hot path. The raster features still return a fresh slice.
 func (e *Extractor) ExtractInto(dst []float64, k Kind, v *vid.Video, f vid.Frame) []float64 {
 	switch k {
 	case ResNet50:
 		return e.embed(dst, v, f, e.projResNet, 11)
 	case MobileNetV2:
 		return e.embed(dst, v, f, e.projMobile, 13)
+	case CPoP:
+		return cpopInto(dst, v, f, e.noise, e.rng)
 	}
 	return e.Extract(k, v, f)
 }
@@ -162,7 +164,20 @@ func (e *Extractor) embed(out []float64, v *vid.Video, f vid.Frame, proj [][]flo
 // ground-truth class histogram plus proposal noise, with the background
 // mass reflecting how much of the frame is uncovered.
 func CPoPVector(v *vid.Video, f vid.Frame) []float64 {
-	out := make([]float64, vid.NumClasses+1)
+	src := fastrand.New(0)
+	return cpopInto(nil, v, f, src, rand.New(src))
+}
+
+// cpopInto is CPoPVector writing into dst (grown only when its capacity
+// is short) and drawing its noise from noise, which wraps src and is
+// reseeded through it.
+func cpopInto(dst []float64, v *vid.Video, f vid.Frame, src *fastrand.Source, noise *rand.Rand) []float64 {
+	out := dst[:0]
+	if n := vid.NumClasses + 1; cap(out) < n {
+		out = make([]float64, n)
+	} else {
+		out = out[:n]
+	}
 	hist := vid.ClassHistogram(f)
 	var covered float64
 	frameArea := float64(v.Width) * float64(v.Height)
@@ -170,7 +185,7 @@ func CPoPVector(v *vid.Video, f vid.Frame) []float64 {
 		covered += o.Box.Area()
 	}
 	coverFrac := math.Min(covered/frameArea, 1)
-	noise := rand.New(fastrand.New(v.Seed*999983 + int64(f.Index)*17))
+	src.Seed(v.Seed*999983 + int64(f.Index)*17)
 	for c := 0; c < vid.NumClasses; c++ {
 		out[c] = 0.8*hist[c]*coverFrac + math.Abs(noise.NormFloat64())*0.02
 	}

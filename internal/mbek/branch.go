@@ -116,6 +116,16 @@ func MinCostBranch(branches []Branch) Branch {
 	return best
 }
 
+// SwitchCostRow fills dst, which must be as long as to, with the offline
+// row C(from, ·): dst[i] = SwitchCostMS(from, to[i]). It returns dst.
+func SwitchCostRow(dst []float64, from Branch, to []Branch) []float64 {
+	dst = dst[:len(to)]
+	for i, b := range to {
+		dst[i] = SwitchCostMS(from, b)
+	}
+	return dst
+}
+
 // SwitchCostMS is the offline switching-cost model C(b0, b): the latency
 // penalty of the first inference after moving from branch `from` to
 // branch `to`. Per the paper's Figure 5, costs are generally below 10 ms

@@ -58,7 +58,7 @@ func EvalBranchGroup(det detect.Model, s vid.Snippet, bs []Branch, dev simlat.De
 		}
 		clock := simlat.NewClock(dev, seeds[i])
 		clock.SetContention(contention)
-		k := NewKernel(det, clock)
+		k := newKernel(det, clock)
 		k.ColdMisses = false
 		k.Start(s.Video)
 		k.SetBranch(b, s.Start)
@@ -67,13 +67,14 @@ func EvalBranchGroup(det detect.Model, s vid.Snippet, bs []Branch, dev simlat.De
 			series:  make([]float64, 0, len(frames))}
 	}
 
+	rng := detect.NewRand()
 	for _, f := range frames {
 		var dets []metric.Detection
 		detected := false
 		for i := range runs {
 			r := &runs[i]
 			if r.k.AtGoFBoundary() && !detected {
-				dets, detected = det.Detect(s.Video, f, cfg), true
+				dets, detected = det.DetectWith(rng, s.Video, f, cfg), true
 			}
 			out := r.k.processFrame(f, dets)
 			r.results = append(r.results, metric.FrameResult{Truth: f.Objects, Dets: out})

@@ -1,6 +1,8 @@
 package mbek
 
 import (
+	"math/rand"
+
 	"litereconfig/internal/detect"
 	"litereconfig/internal/metric"
 	"litereconfig/internal/simlat"
@@ -31,7 +33,9 @@ type Kernel struct {
 	hasBranch bool
 	// tracker is reset in place at every GoF start that needs one, so
 	// it and its random source are allocated once per kernel.
-	tracker    *track.Tracker
+	tracker *track.Tracker
+	// detRng is the detector passes' source, reseeded by every pass.
+	detRng     *rand.Rand
 	frameInGoF int
 	// ColdMisses disables the online cold-miss outliers when false
 	// (offline measurement mode).
@@ -71,7 +75,19 @@ type SwitchEvent struct {
 }
 
 // NewKernel creates a kernel around the given detector model and clock.
+// Its detector source and tracker are built here, once, and reseeded by
+// every GoF, so no Group-of-Frames seeds a fresh random source.
 func NewKernel(det detect.Model, clock *simlat.Clock) *Kernel {
+	k := newKernel(det, clock)
+	k.detRng = detect.NewRand()
+	k.tracker = track.New(track.KCF, 1, 0)
+	return k
+}
+
+// newKernel is NewKernel without the up-front random sources, for
+// EvalBranchGroup's short-lived kernels: they never run a detector pass
+// of their own and build a tracker only when their branch needs one.
+func newKernel(det detect.Model, clock *simlat.Clock) *Kernel {
 	return &Kernel{Det: det, Clock: clock, ColdMisses: true,
 		usedSet: map[Branch]int{}}
 }
@@ -150,7 +166,7 @@ func trackerSeed(v *vid.Video, frame int, b Branch) int64 {
 // step on the rest. It returns the frame's detections.
 func (k *Kernel) ProcessFrame(f vid.Frame) []metric.Detection {
 	if k.hasBranch && k.frameInGoF == 0 {
-		return k.processFrame(f, k.Det.Detect(k.video, f, k.branch.DetConfig()))
+		return k.processFrame(f, k.Det.DetectWith(k.detRng, k.video, f, k.branch.DetConfig()))
 	}
 	return k.processFrame(f, nil)
 }

@@ -30,12 +30,16 @@ type FrameResult struct {
 const DefaultIoU = 0.5
 
 // flatDet is a detection flattened across frames for the ranked sweep.
-// pos is the entry's input position, a sort key that sortRanked sets
-// and clears.
 type flatDet struct {
 	frame int
 	det   Detection
-	pos   int
+}
+
+// rankKey is sortRanked's compact sort key for the detection at input
+// position pos: 16 bytes against a flatDet's 56.
+type rankKey struct {
+	score      float64
+	frame, pos int32
 }
 
 // APResult holds the per-class average precision and ground-truth count.
@@ -79,6 +83,7 @@ func perClassAP(frames []FrameResult, iouThresh float64) (out [vid.NumClasses]AP
 		start[c] += start[c-1]
 	}
 	dets := make([]flatDet, start[vid.NumClasses])
+	keys := make([]rankKey, len(dets))
 	next := start
 	for fi, fr := range frames {
 		for _, d := range fr.Dets {
@@ -93,7 +98,7 @@ func perClassAP(frames []FrameResult, iouThresh float64) (out [vid.NumClasses]AP
 			continue
 		}
 		ds := dets[start[cls]:start[cls+1]]
-		sortRanked(ds)
+		sortRankedKeys(ds, keys[start[cls]:start[cls+1]])
 		out[cls].AP, out[cls].Matched = classAP(frames, ds, vid.Class(cls), n, iouThresh)
 	}
 	return out
@@ -101,16 +106,22 @@ func perClassAP(frames []FrameResult, iouThresh float64) (out [vid.NumClasses]AP
 
 // sortRanked orders detections by descending score, ties broken by
 // ascending frame and then by input position: the order a stable sort
-// on (score, frame) gives. Numbering the entries makes that order total,
-// so pdqsort reaches it without a stable sort's O(n log² n) merging; the
-// numbers are cleared afterwards, leaving each entry as it came in.
-func sortRanked(ds []flatDet) {
+// on (score, frame) gives. The position makes that order total, so
+// pdqsort reaches it without a stable sort's O(n log² n) merging. It
+// sorts compact (score, frame, position) keys, then moves each
+// detection once along the permutation's cycles. Frame indices and
+// positions must fit in an int32.
+func sortRanked(ds []flatDet) { sortRankedKeys(ds, make([]rankKey, len(ds))) }
+
+// sortRankedKeys is sortRanked with the keys' storage, as long as ds,
+// supplied by the caller.
+func sortRankedKeys(ds []flatDet, keys []rankKey) {
 	for i := range ds {
-		ds[i].pos = i
+		keys[i] = rankKey{score: ds[i].det.Score, frame: int32(ds[i].frame), pos: int32(i)}
 	}
-	slices.SortFunc(ds, func(a, b flatDet) int {
-		if a.det.Score != b.det.Score {
-			if a.det.Score > b.det.Score {
+	slices.SortFunc(keys, func(a, b rankKey) int {
+		if a.score != b.score {
+			if a.score > b.score {
 				return -1
 			}
 			return 1
@@ -120,8 +131,19 @@ func sortRanked(ds []flatDet) {
 		}
 		return cmp.Compare(a.pos, b.pos)
 	})
-	for i := range ds {
-		ds[i].pos = 0
+	// Slot k takes the detection at keys[k].pos; follow each cycle,
+	// marking placed slots by pointing their key at themselves.
+	for i := range keys {
+		if int(keys[i].pos) == i {
+			continue
+		}
+		held, k := ds[i], i
+		for int(keys[k].pos) != i {
+			from := int(keys[k].pos)
+			ds[k], keys[k].pos = ds[from], int32(k)
+			k = from
+		}
+		ds[k], keys[k].pos = held, int32(k)
 	}
 }
 

@@ -53,11 +53,7 @@ func (w *chainWorker) switchRow(cur int) []float64 {
 		w.switchRows = make([][]float64, len(bs))
 	}
 	if w.switchRows[cur] == nil {
-		row := make([]float64, len(bs))
-		for bi, b := range bs {
-			row[bi] = mbek.SwitchCostMS(bs[cur], b)
-		}
-		w.switchRows[cur] = row
+		w.switchRows[cur] = mbek.SwitchCostRow(make([]float64, len(bs)), bs[cur], bs)
 	}
 	return w.switchRows[cur]
 }

@@ -65,7 +65,7 @@ func LoadFile(path string) (*Models, error) {
 // always nil.
 func (m *Models) Clone() (*Models, error) {
 	c := *m
-	c.scrNorm, c.scrHeavy, c.scrSketch, c.scrContent = nil, nil, nil, nil
+	c.scrNorm, c.scrHeavy, c.scrSketch, c.scrContent, c.scrNZ = nil, nil, nil, nil, nil
 	c.scrNN = nn.Scratch{}
 	c.LatDet = cloneLinregs(m.LatDet)
 	c.LatTrk = cloneLinregs(m.LatTrk)

@@ -112,6 +112,7 @@ type Models struct {
 	scrNorm    []float64  // LightNorm output
 	scrHeavy   []float64  // HeavyNorm output
 	scrSketch  []float64  // random-projection output
+	scrNZ      []int32    // nonzero rows of the projection input
 	scrContent []float64  // per-kind content prediction inside Set ensembling
 	scrNN      nn.Scratch // network forward buffers
 }
@@ -384,7 +385,13 @@ func (m *Models) PredictAccuracyLight(light []float64) []float64 {
 // and stays valid until the caller's next use of that buffer.
 func (m *Models) PredictAccuracyLightInto(dst, light []float64) []float64 {
 	m.scrNorm = m.LightNorm.ApplyInto(m.scrNorm, light)
-	out := m.LightNet.Infer(&m.scrNN, m.scrNorm)
+	return m.PredictAccuracyNormInto(dst, m.scrNorm)
+}
+
+// PredictAccuracyNormInto is PredictAccuracyLightInto given the
+// already standardized light vector (LightNorm's output).
+func (m *Models) PredictAccuracyNormInto(dst, lightNorm []float64) []float64 {
+	out := m.LightNet.Infer(&m.scrNN, lightNorm)
 	dst = append(dst[:0], out...)
 	if m.AccScale != 0 && (m.AccScale != 1 || m.AccBias != 0) {
 		for i := range dst {
@@ -420,20 +427,21 @@ func (m *Models) LatencyBiasMS(bi int) float64 {
 // prediction A(b, [f_L, f_H^k]) for one heavy feature: the light model's
 // prediction plus the feature's residual tower.
 func (m *Models) PredictAccuracyContent(k feat.Kind, light, heavy []float64) []float64 {
-	return m.predictAccuracyContentInto(nil, k, light, heavy)
+	norm := m.LightNorm.Apply(light)
+	acc := m.PredictAccuracyNormInto(nil, norm)
+	return m.predictAccuracyContentInto(nil, k, acc, norm, heavy)
 }
 
 // predictAccuracyContentInto writes the content-aware prediction into
-// dst, reusing the model-owned normalization and sketch scratch. The
-// normalized light vector PredictAccuracyLightInto leaves in scrNorm is
-// exactly what the residual tower needs, so the standardizer runs once.
-func (m *Models) predictAccuracyContentInto(dst []float64, k feat.Kind, light, heavy []float64) []float64 {
+// dst: accLight, the light model's prediction for the standardized light
+// vector lightNorm, plus the residual tower for feature k.
+func (m *Models) predictAccuracyContentInto(dst []float64, k feat.Kind, accLight, lightNorm, heavy []float64) []float64 {
 	net, ok := m.ContentNets[k]
 	if !ok {
 		panic(fmt.Sprintf("sched: no content model for %v", k))
 	}
-	dst = m.PredictAccuracyLightInto(dst, light)
-	res := net.Infer(&m.scrNN, m.scrNorm, m.sketchApplyInto(k, heavy))
+	dst = append(dst[:0], accLight...)
+	res := net.Infer(&m.scrNN, lightNorm, m.sketchApplyInto(k, heavy))
 	for i := range dst {
 		dst[i] += res[i]
 	}
@@ -444,16 +452,22 @@ func (m *Models) predictAccuracyContentInto(dst []float64, k feat.Kind, light, h
 // the per-feature model outputs are ensembled by averaging. An empty set
 // yields the content-agnostic prediction.
 func (m *Models) PredictAccuracySet(kinds []feat.Kind, light []float64, heavy map[feat.Kind][]float64) []float64 {
-	return m.PredictAccuracySetInto(nil, kinds, light, heavy)
+	norm := m.LightNorm.Apply(light)
+	acc := m.PredictAccuracyNormInto(nil, norm)
+	return m.PredictAccuracySetInto(nil, kinds, acc, norm, heavy)
 }
 
 // PredictAccuracySetInto is the allocation-free variant of
-// PredictAccuracySet: the ensemble accumulates into dst (grown only when
-// its capacity is short) and each per-feature prediction lands in
+// PredictAccuracySet for a decision that already holds its light-model
+// prediction accLight and the standardized light vector lightNorm it
+// came from (LightNorm.ApplyInto, then PredictAccuracyNormInto): every
+// per-feature prediction starts from accLight instead of re-running the
+// light model. The ensemble accumulates into dst (grown only when its
+// capacity is short) and each per-feature prediction lands in
 // model-owned scratch. The returned slice aliases dst's backing store.
-func (m *Models) PredictAccuracySetInto(dst []float64, kinds []feat.Kind, light []float64, heavy map[feat.Kind][]float64) []float64 {
+func (m *Models) PredictAccuracySetInto(dst []float64, kinds []feat.Kind, accLight, lightNorm []float64, heavy map[feat.Kind][]float64) []float64 {
 	if len(kinds) == 0 {
-		return m.PredictAccuracyLightInto(dst, light)
+		return append(dst[:0], accLight...)
 	}
 	if cap(dst) < len(m.Branches) {
 		dst = make([]float64, len(m.Branches))
@@ -464,7 +478,7 @@ func (m *Models) PredictAccuracySetInto(dst []float64, kinds []feat.Kind, light 
 		}
 	}
 	for _, k := range kinds {
-		m.scrContent = m.predictAccuracyContentInto(m.scrContent, k, light, heavy[k])
+		m.scrContent = m.predictAccuracyContentInto(m.scrContent, k, accLight, lightNorm, heavy[k])
 		for i := range dst {
 			dst[i] += m.scrContent[i]
 		}
@@ -615,33 +629,78 @@ func (m *Models) sketchApplyInto(k feat.Kind, heavy []float64) []float64 {
 	if cap(m.scrSketch) < len(proj[0]) {
 		m.scrSketch = make([]float64, len(proj[0]))
 	}
-	out := m.scrSketch[:len(proj[0])]
-	for j := range out {
-		out[j] = 0
-	}
+	m.scrSketch = m.scrSketch[:len(proj[0])]
+	m.scrNZ = sketchProject(m.scrSketch, z, proj, m.scrNZ)
+	return m.scrSketch
+}
+
+// sketchProject sets out[j] to the sum over ascending rows i of
+// z[i]·proj[i][j], accumulated from +0 and skipping rows whose z[i] is
+// zero (0·r is not always a no-op: 0·Inf is NaN). nz is reusable scratch
+// for the nonzero row indices; sketchProject returns it.
+//
+// The projection is the scheduler's hottest loop, so it is register
+// blocked: four rows at a time fold into four outputs held in
+// registers, which cuts the loads and stores of out by four. Each out[j]
+// still receives the same additions in the same order as the plain
+// loop, and every product and sum is rounded to float64 on its own, so
+// the result is bit-identical.
+func sketchProject(out, z []float64, proj [][]float64, nz []int32) []int32 {
+	nz = nz[:0]
 	for i, zi := range z {
-		if zi == 0 {
-			continue
+		if zi != 0 {
+			nz = append(nz, int32(i))
 		}
-		// Unrolled by four with bounds checks hoisted: the projection is
-		// the scheduler's hottest loop. Each out[j] still receives the
-		// same additions in the same order, so results are bit-identical
-		// to the plain loop.
-		row := proj[i][:len(out)]
+	}
+	clear(out)
+	w := len(out)
+	p := 0
+	for ; p+4 <= len(nz); p += 4 {
+		i0, i1, i2, i3 := nz[p], nz[p+1], nz[p+2], nz[p+3]
+		z0, z1, z2, z3 := z[i0], z[i1], z[i2], z[i3]
+		r0, r1, r2, r3 := proj[i0][:w], proj[i1][:w], proj[i2][:w], proj[i3][:w]
 		j := 0
-		for ; j+4 <= len(out); j += 4 {
-			o, r := out[j:j+4:j+4], row[j:j+4:j+4]
-			o[0] += zi * r[0]
-			o[1] += zi * r[1]
-			o[2] += zi * r[2]
-			o[3] += zi * r[3]
+		for ; j+4 <= w; j += 4 {
+			o := out[j : j+4 : j+4]
+			a := r0[j : j+4 : j+4]
+			b := r1[j : j+4 : j+4]
+			c := r2[j : j+4 : j+4]
+			d := r3[j : j+4 : j+4]
+			o0, o1, o2, o3 := o[0], o[1], o[2], o[3]
+			o0 += z0 * a[0]
+			o1 += z0 * a[1]
+			o2 += z0 * a[2]
+			o3 += z0 * a[3]
+			o0 += z1 * b[0]
+			o1 += z1 * b[1]
+			o2 += z1 * b[2]
+			o3 += z1 * b[3]
+			o0 += z2 * c[0]
+			o1 += z2 * c[1]
+			o2 += z2 * c[2]
+			o3 += z2 * c[3]
+			o0 += z3 * d[0]
+			o1 += z3 * d[1]
+			o2 += z3 * d[2]
+			o3 += z3 * d[3]
+			o[0], o[1], o[2], o[3] = o0, o1, o2, o3
 		}
-		for ; j < len(out); j++ {
+		for ; j < w; j++ {
+			o := out[j]
+			o += z0 * r0[j]
+			o += z1 * r1[j]
+			o += z2 * r2[j]
+			o += z3 * r3[j]
+			out[j] = o
+		}
+	}
+	for ; p < len(nz); p++ {
+		zi, row := z[nz[p]], proj[nz[p]][:w]
+		for j := range out {
 			out[j] += zi * row[j]
 		}
 	}
-	m.scrSketch = out
-	return out
+	return nz
 }
 
 // BenTable is the offline-computed benefit lookup of Sec. 3.4: the

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -232,5 +233,37 @@ func TestDrainStopsIntakeAndIsIdempotent(t *testing.T) {
 	}
 	if r1.Streams[0].Raw == nil || r1.Streams[0].Raw.Breakdown == nil {
 		t.Fatal("raw result with breakdown must be attached")
+	}
+}
+
+// TestRetiredStreamMAPMatchesResult checks the mAP the worker computes
+// when a stream's run finishes against the completed result's own mAP,
+// recomputed after the barrier finalized the stream, for every stream
+// of a drained board — and that the worker-side value was the one used.
+func TestRetiredStreamMAPMatchesResult(t *testing.T) {
+	s := setup(t)
+	srv, err := New(Options{Models: s.Models, GPUSlots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var handles []*Stream
+	for i := 0; i < 6; i++ {
+		h, err := srv.Submit(StreamConfig{Video: video(400+int64(i), 50), SLO: 33.3 + float64(i%3)*16.7, Seed: 7 + int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	res := srv.Drain()
+	if len(res.Streams) != len(handles) {
+		t.Fatalf("%d stream rows, want %d", len(res.Streams), len(handles))
+	}
+	for i, r := range res.Streams {
+		if !handles[i].st.hasFinalMAP {
+			t.Errorf("stream %d: report mAP was not computed by the worker", i)
+		}
+		if want := r.Raw.MAP(); math.Float64bits(r.MAP) != math.Float64bits(want) {
+			t.Errorf("stream %d: reported mAP %v, result recomputes %v", i, r.MAP, want)
+		}
 	}
 }

@@ -93,6 +93,12 @@ type stream struct {
 	contSum     float64 // sum of per-round applied contention levels
 	finishedRun bool
 	result      *StreamResult
+	// finalMAP is the completed run's mAP, computed by the worker whose
+	// round finished the run (hasFinalMAP), so the barrier that retires
+	// the stream does not run the ranked sweep under the server mutex
+	// while every other worker waits.
+	finalMAP    float64
+	hasFinalMAP bool
 
 	// Admission-control state, all barrier-side under the server mutex.
 	// weight is the stream's WFQ class weight on its current board;
@@ -385,6 +391,9 @@ func (st *stream) run(roundMS float64) {
 		}
 		if !st.stepper.Step() {
 			st.finishedRun = true
+			// Step adds no frame result once it reports false, so this is
+			// the mAP the report row needs.
+			st.finalMAP, st.hasFinalMAP = st.res.MAP(), true
 			break
 		}
 	}
@@ -429,6 +438,10 @@ func (st *stream) finalize(dev simlat.Device) {
 	if now := st.clock.Now(); now > 0 {
 		meanOcc = st.clock.GPUBusyMS() / now
 	}
+	mAP := st.finalMAP
+	if !st.hasFinalMAP {
+		mAP = st.res.MAP()
+	}
 	st.result = &StreamResult{
 		ID:               st.id,
 		Name:             st.cfg.Name,
@@ -441,7 +454,7 @@ func (st *stream) finalize(dev simlat.Device) {
 		PreemptRetired:   st.preemptRetired,
 		Policy:           st.res.Protocol,
 		Frames:           len(st.res.Frames),
-		MAP:              st.res.MAP(),
+		MAP:              mAP,
 		MeanMS:           st.res.Latency.Mean(),
 		P95MS:            st.res.Latency.P95(),
 		MeetsSLO:         st.res.MeetsSLO(),
