@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"litereconfig/internal/fastrand"
 	"litereconfig/internal/raster"
@@ -16,12 +17,14 @@ const RasterSize = 64
 
 // Extractor computes feature vectors for video frames. It is deterministic
 // given its seed (which fixes the simulated embedding networks' weights)
-// and safe to reuse across videos, but not for concurrent use. It
+// and safe to reuse across videos. The weights are shared read-only by
+// every extractor built from the same seed; only the per-extractor
+// scratch below makes one Extractor unsafe for concurrent use. It
 // performs no latency accounting — callers charge the clock using the
 // Spec costs.
 type Extractor struct {
-	projResNet [][]float64 // descriptorDim x 1024
-	projMobile [][]float64 // descriptorDim x 1280
+	projResNet [][]float64 // descriptorDim x 1024, shared, read-only
+	projMobile [][]float64 // descriptorDim x 1280, shared, read-only
 
 	// The embeddings' working memory, reused across calls: the content
 	// descriptor and the per-frame noise stream, reseeded on every call.
@@ -35,8 +38,24 @@ type Extractor struct {
 const descriptorDim = 7 + vid.NumClasses
 
 // NewExtractor builds an extractor whose simulated embedding weights are
-// derived from the seed.
+// derived from the seed. The weights are drawn once per seed per process
+// and shared; each extractor gets its own scratch.
 func NewExtractor(seed int64) *Extractor {
+	w := sharedWeights(seed)
+	noise := fastrand.New(seed)
+	return &Extractor{projResNet: w.resNet, projMobile: w.mobile, noise: noise, rng: rand.New(noise)}
+}
+
+// weights are the simulated embedding networks' projection matrices.
+// They are a pure function of the seed and only ever read.
+type weights struct {
+	resNet, mobile [][]float64
+}
+
+// buildWeights draws the projection matrices for a seed: the ResNet50
+// matrix first, then MobileNetV2's, row by row from one math/rand
+// source.
+func buildWeights(seed int64) weights {
 	rng := rand.New(rand.NewSource(seed))
 	mk := func(out int) [][]float64 {
 		m := make([][]float64, descriptorDim)
@@ -48,8 +67,28 @@ func NewExtractor(seed int64) *Extractor {
 		}
 		return m
 	}
-	noise := fastrand.New(seed)
-	return &Extractor{projResNet: mk(1024), projMobile: mk(1280), noise: noise, rng: rand.New(noise)}
+	return weights{resNet: mk(1024), mobile: mk(1280)}
+}
+
+// weightsMemo holds one *weightsEntry per seed. A process sees only a
+// handful of feature seeds (one per trained bundle), so it is never
+// pruned.
+var weightsMemo sync.Map
+
+type weightsEntry struct {
+	once sync.Once
+	w    weights
+}
+
+// sharedWeights returns the seed's weights, building them on first use.
+func sharedWeights(seed int64) weights {
+	v, ok := weightsMemo.Load(seed)
+	if !ok {
+		v, _ = weightsMemo.LoadOrStore(seed, new(weightsEntry))
+	}
+	e := v.(*weightsEntry)
+	e.once.Do(func() { e.w = buildWeights(seed) })
+	return e.w
 }
 
 // Extract computes the feature vector of kind k for frame f of video v.

@@ -28,7 +28,6 @@ import (
 	"litereconfig/internal/adapt"
 	"litereconfig/internal/ckpt"
 	"litereconfig/internal/fault"
-	"litereconfig/internal/feat"
 	"litereconfig/internal/glm"
 	"litereconfig/internal/obs"
 	"litereconfig/internal/sched"
@@ -255,7 +254,7 @@ type board struct {
 }
 
 // waiting is a stream in the fleet admission queue. Besides fresh
-// submissions (only id/cfg/light set), the queue carries two kinds of
+// submissions (only id/cfg/prof set), the queue carries two kinds of
 // already-admitted re-entrants, which bypass the fleet queue limit and
 // are never re-counted as arrivals: a live stream evacuated off a
 // quarantined board with no immediate destination (det != nil), and a
@@ -264,7 +263,7 @@ type board struct {
 type waiting struct {
 	id    int
 	cfg   serve.StreamConfig
-	light []float64 // content features of frame 0, for placement scoring
+	prof  []branchEst // per-branch placement inputs from frame 0's light features
 	waits int
 	det   *serve.Detached
 	ck    *ckpt.Entry
@@ -276,7 +275,7 @@ type tracked struct {
 	handle     *serve.Stream
 	board      *board
 	cfg        serve.StreamConfig
-	light      []float64
+	prof       []branchEst
 	infeasible int // consecutive barriers the SLO looked infeasible
 	migrations int
 }
@@ -285,13 +284,23 @@ type tracked struct {
 // concurrent use until Run is called; Run drives the fleet to
 // completion and may be called once.
 type Fleet struct {
-	opts   Options
-	obsv   *obs.Observer
-	models *sched.Models // fleet-private clone for placement scoring
+	opts Options
+	obsv *obs.Observer
+	// models is the fleet's own clone of the bundle. Its inference
+	// scratch makes it single-user; the barrier goroutine uses it to
+	// profile each stream at intake and to price migration warm-ups.
+	// Nothing mutates its weights during a run, which is what lets a
+	// stream's branch profile and the per-branch risk terms below be
+	// computed once.
+	models *sched.Models
 	boards []*board
 	// riskZ caches the standard-normal quantile of Options.RiskQuantile
 	// for risk-aware placement scoring; zero under mean placement.
-	riskZ float64
+	// quantile and logStd hold each branch's QuantileFactor at riskZ and
+	// its LatLogStd; both are nil under mean placement.
+	riskZ    float64
+	quantile []float64
+	logStd   []float64
 
 	mu         sync.Mutex
 	nextID     int
@@ -366,6 +375,12 @@ func New(opts Options) (*Fleet, error) {
 	f := &Fleet{opts: opts, obsv: opts.Observer, models: models}
 	if opts.RiskQuantile > 0 {
 		f.riskZ = glm.NormalQuantile(opts.RiskQuantile)
+		n := len(models.Branches)
+		f.quantile, f.logStd = make([]float64, n), make([]float64, n)
+		for bi := 0; bi < n; bi++ {
+			f.quantile[bi] = models.QuantileFactor(bi, f.riskZ)
+			f.logStd[bi] = models.LatLogStd(bi)
+		}
 	}
 	seen := map[string]bool{}
 	for i, bc := range opts.Boards {
@@ -487,8 +502,9 @@ func New(opts Options) (*Fleet, error) {
 // Submit enqueues one stream for fleet placement. It returns the
 // fleet-assigned stream id, or an error when the fleet queue is full
 // (backpressure) or the config is invalid. Content features of the
-// stream's first frame are extracted here, once, and reused for every
-// placement decision the stream is ever part of.
+// stream's first frame are extracted and every branch is priced for them
+// here, once; that profile is reused for every placement decision the
+// stream is ever part of.
 func (f *Fleet) Submit(cfg serve.StreamConfig) (int, error) {
 	if cfg.Video == nil {
 		return 0, fmt.Errorf("fleet: stream needs a video")
@@ -512,8 +528,7 @@ func (f *Fleet) Submit(cfg serve.StreamConfig) (int, error) {
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("stream-%d", id)
 	}
-	light := feat.LightVector(cfg.Video, cfg.Video.Frames[0])
-	f.queue = append(f.queue, &waiting{id: id, cfg: cfg, light: light})
+	f.queue = append(f.queue, &waiting{id: id, cfg: cfg, prof: f.profile(cfg)})
 	return id, nil
 }
 
@@ -563,8 +578,7 @@ func (f *Fleet) intakeArrivals() {
 		if cfg.Name == "" {
 			cfg.Name = fmt.Sprintf("stream-%d", id)
 		}
-		light := feat.LightVector(cfg.Video, cfg.Video.Frames[0])
-		f.queue = append(f.queue, &waiting{id: id, cfg: cfg, light: light})
+		f.queue = append(f.queue, &waiting{id: id, cfg: cfg, prof: f.profile(cfg)})
 		f.mu.Unlock()
 		f.event(obs.FleetEvent{Kind: "arrive", Stream: id, Name: cfg.Name,
 			Tier: class, Tenant: cfg.Tenant})

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"litereconfig/internal/feat"
 	"litereconfig/internal/glm"
 	"litereconfig/internal/mbek"
 	"litereconfig/internal/obs"
@@ -63,10 +64,32 @@ func (s score) better(o score) bool {
 	return s.occ < o.occ
 }
 
+// branchEst is one branch's board-independent placement inputs for a
+// stream: the predicted detector and tracker shares of its per-frame
+// latency (TX2 units, no contention) and its predicted A(b, f_L).
+type branchEst struct {
+	det, trk, acc float64
+}
+
+// profile prices every branch once for the light features of a
+// stream's first frame. Those features are fixed for the stream's life
+// and the fleet's scoring models never change during a run, so the
+// profile serves every later placement, migration and restore score.
+func (f *Fleet) profile(cfg serve.StreamConfig) []branchEst {
+	light := feat.LightVector(cfg.Video, cfg.Video.Frames[0])
+	accs := f.models.PredictAccuracyLight(light)
+	prof := make([]branchEst, len(f.models.Branches))
+	for bi := range prof {
+		det, trk := f.models.PredictLatency(bi, light)
+		prof[bi] = branchEst{det: det, trk: trk, acc: accs[bi]}
+	}
+	return prof
+}
+
 // scoreBoard prices the stream on the board under its current load:
 // the stream's coupled contention level there would be
 // clamp(floor + alpha * totalOcc/slots) — mirroring contend.Coupled —
-// and each branch's per-frame latency is the predicted detector share
+// and each branch's per-frame latency is the profiled detector share
 // scaled by the board's device and that contention, plus the tracker
 // share scaled by the device's CPU factor (Eq. 2 priced for a remote
 // board). The best feasible branch maximizes predicted accuracy under
@@ -75,8 +98,9 @@ func (s score) better(o score) bool {
 // SLO-attainment probability wins instead.
 // selfOcc is the stream's own measured occupancy when it already lives
 // on the board (its own load is not foreign to it); zero for placement
-// candidates.
-func (f *Fleet) scoreBoard(b *board, slo, floor float64, light []float64, selfOcc float64) score {
+// candidates. Only board-dependent arithmetic runs here; it allocates
+// nothing.
+func (f *Fleet) scoreBoard(b *board, slo, floor float64, prof []branchEst, selfOcc float64) score {
 	act, qd := b.srv.Occupancy()
 	total := act + qd
 	foreign := (total - selfOcc) / float64(b.opts.GPUSlots)
@@ -87,18 +111,19 @@ func (f *Fleet) scoreBoard(b *board, slo, floor float64, light []float64, selfOc
 	if g > 0.99 {
 		g = 0.99
 	}
-	dev := b.opts.Device
-	accs := f.models.PredictAccuracyLight(light)
+	gpu := b.opts.Device.Factor(simlat.GPU)
+	cpu := b.opts.Device.Factor(simlat.CPU)
+	mult := simlat.ContentionMultiplier(g)
 	budget := slo * f.opts.SafetyFactor
+	logBudget := math.Log(budget)
 
 	sc := score{occ: total, acc: -1}
 	fallbackLat, fallbackAcc := 0.0, 0.0
 	haveFallback := false
 	riskOn := f.riskZ > 0
-	for bi := range f.models.Branches {
-		det, trk := f.models.PredictLatency(bi, light)
-		lat := det*dev.Factor(simlat.GPU)*simlat.ContentionMultiplier(g) +
-			trk*dev.Factor(simlat.CPU)
+	for bi := range prof {
+		p := &prof[bi]
+		lat := p.det*gpu*mult + p.trk*cpu
 		// Under risk-aware placement a branch must fit the budget at the
 		// configured latency quantile, not at the mean — the same
 		// admission criterion the stream's own scheduler will apply once
@@ -106,21 +131,20 @@ func (f *Fleet) scoreBoard(b *board, slo, floor float64, light []float64, selfOc
 		// immediately degrade on.
 		planLat := lat
 		if riskOn {
-			planLat = lat * f.models.QuantileFactor(bi, f.riskZ)
+			planLat = lat * f.quantile[bi]
 		}
 		if planLat <= budget {
 			attain := 0.0
 			if riskOn && lat > 0 {
-				attain = glm.AttainProb(math.Log(lat), f.models.LatLogStd(bi),
-					math.Log(budget))
+				attain = glm.AttainProb(math.Log(lat), f.logStd[bi], logBudget)
 			}
 			if !sc.feasible || attain > sc.attain ||
-				(attain == sc.attain && accs[bi] > sc.acc) ||
-				(attain == sc.attain && accs[bi] == sc.acc && lat < sc.lat) {
-				sc.feasible, sc.acc, sc.lat, sc.attain = true, accs[bi], lat, attain
+				(attain == sc.attain && p.acc > sc.acc) ||
+				(attain == sc.attain && p.acc == sc.acc && lat < sc.lat) {
+				sc.feasible, sc.acc, sc.lat, sc.attain = true, p.acc, lat, attain
 			}
 		} else if !haveFallback || lat < fallbackLat {
-			haveFallback, fallbackLat, fallbackAcc = true, lat, accs[bi]
+			haveFallback, fallbackLat, fallbackAcc = true, lat, p.acc
 		}
 	}
 	if !sc.feasible {
@@ -145,7 +169,7 @@ func (b *board) hasCapacity(est float64) bool {
 // additionally demands an SLO-feasible branch — SLO-driven migrations
 // use it, since moving to another infeasible board just pays the
 // hand-off for nothing.
-func (f *Fleet) bestBoard(cfg serve.StreamConfig, light []float64,
+func (f *Fleet) bestBoard(cfg serve.StreamConfig, prof []branchEst,
 	exclude *board, requireFeasible bool) (*board, score) {
 
 	est := estOcc(cfg)
@@ -155,7 +179,7 @@ func (f *Fleet) bestBoard(cfg serve.StreamConfig, light []float64,
 		if b.quarantined || b == exclude || f.unresponsive(b) || !b.hasCapacity(est) {
 			continue
 		}
-		sc := f.scoreBoard(b, cfg.SLO, cfg.BaseContention, light, 0)
+		sc := f.scoreBoard(b, cfg.SLO, cfg.BaseContention, prof, 0)
 		if requireFeasible && !sc.feasible {
 			continue
 		}
@@ -172,7 +196,7 @@ func (f *Fleet) bestBoard(cfg serve.StreamConfig, light []float64,
 // board, whose own queue-head preemption evicts best-effort streams to
 // make room — waiting in the fleet queue instead would hide the arrival
 // from the board's admission controller.
-func (f *Fleet) bestBoardQueue(cfg serve.StreamConfig, light []float64) (*board, score) {
+func (f *Fleet) bestBoardQueue(cfg serve.StreamConfig, prof []branchEst) (*board, score) {
 	var best *board
 	var bestSc score
 	for _, b := range f.boards {
@@ -182,7 +206,7 @@ func (f *Fleet) bestBoardQueue(cfg serve.StreamConfig, light []float64) (*board,
 		if _, queued, _ := b.srv.Counts(); queued >= b.opts.QueueLimit {
 			continue
 		}
-		sc := f.scoreBoard(b, cfg.SLO, cfg.BaseContention, light, 0)
+		sc := f.scoreBoard(b, cfg.SLO, cfg.BaseContention, prof, 0)
 		if best == nil || sc.better(bestSc) {
 			best, bestSc = b, sc
 		}
@@ -234,11 +258,11 @@ func (f *Fleet) placeQueued() {
 			}
 			continue
 		}
-		b, sc := f.bestBoard(w.cfg, w.light, nil, false)
+		b, sc := f.bestBoard(w.cfg, w.prof, nil, false)
 		pushed := false
 		if b == nil && f.opts.Preempt && f.opts.Admission == serve.AdmissionWFQ &&
 			f.weightOf(w.cfg) > 1 {
-			b, sc = f.bestBoardQueue(w.cfg, w.light)
+			b, sc = f.bestBoardQueue(w.cfg, w.prof)
 			pushed = b != nil
 		}
 		if b == nil {
@@ -255,7 +279,7 @@ func (f *Fleet) placeQueued() {
 			continue
 		}
 		f.live = append(f.live, &tracked{
-			id: w.id, handle: h, board: b, cfg: w.cfg, light: w.light,
+			id: w.id, handle: h, board: b, cfg: w.cfg, prof: w.prof,
 		})
 		f.placed++
 		f.met.placements.Inc()
@@ -285,9 +309,9 @@ func (f *Fleet) placeQueued() {
 // restored. Reports false when no board can take it yet.
 func (f *Fleet) placeReentrant(w *waiting) bool {
 	if w.ck != nil {
-		return f.tryRestore(*w.ck, w.light)
+		return f.tryRestore(*w.ck, w.prof)
 	}
-	b, sc := f.bestBoard(w.cfg, w.light, nil, false)
+	b, sc := f.bestBoard(w.cfg, w.prof, nil, false)
 	if b == nil {
 		return false
 	}
@@ -297,7 +321,7 @@ func (f *Fleet) placeReentrant(w *waiting) bool {
 		return false // board refused; the Detached is still ours to retry
 	}
 	f.live = append(f.live, &tracked{
-		id: w.id, handle: h, board: b, cfg: w.cfg, light: w.light,
+		id: w.id, handle: h, board: b, cfg: w.cfg, prof: w.prof,
 	})
 	f.migrs++
 	f.met.migrations.Inc()
@@ -373,7 +397,7 @@ func (f *Fleet) evacuate(b *board) {
 			still = append(still, t)
 			continue
 		}
-		dest, sc := f.bestBoard(t.cfg, t.light, b, false)
+		dest, sc := f.bestBoard(t.cfg, t.prof, b, false)
 		if dest != nil {
 			f.migrate(t, dest, sc, "board quarantined")
 			still = append(still, t)
@@ -387,7 +411,7 @@ func (f *Fleet) evacuate(b *board) {
 			continue
 		}
 		f.mu.Lock()
-		f.queue = append(f.queue, &waiting{id: t.id, cfg: t.cfg, light: t.light, det: d})
+		f.queue = append(f.queue, &waiting{id: t.id, cfg: t.cfg, prof: t.prof, det: d})
 		f.mu.Unlock()
 		f.event(obs.FleetEvent{Kind: "requeue", Stream: t.id,
 			Name: t.cfg.Name, From: b.name, Tier: serve.ClassOf(t.cfg),
@@ -413,7 +437,7 @@ func (f *Fleet) checkMigrations() {
 		if t.handle.Result() != nil || t.board.quarantined || t.board.crashed {
 			continue
 		}
-		sc := f.scoreBoard(t.board, t.cfg.SLO, t.cfg.BaseContention, t.light, occs[t.id])
+		sc := f.scoreBoard(t.board, t.cfg.SLO, t.cfg.BaseContention, t.prof, occs[t.id])
 		if sc.feasible {
 			t.infeasible = 0
 			continue
@@ -422,7 +446,7 @@ func (f *Fleet) checkMigrations() {
 		if t.infeasible < f.opts.Hysteresis || t.migrations >= f.opts.MaxMigrations {
 			continue
 		}
-		dest, dsc := f.bestBoard(t.cfg, t.light, t.board, true)
+		dest, dsc := f.bestBoard(t.cfg, t.prof, t.board, true)
 		if dest == nil {
 			continue // nowhere feasible; stay and let the scheduler degrade
 		}

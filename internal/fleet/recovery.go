@@ -140,10 +140,10 @@ func (f *Fleet) declareDead(b *board, reason string) {
 				Reason: "lost in board crash: no checkpoint"})
 			continue
 		}
-		if f.tryRestore(e, t.light) {
+		if f.tryRestore(e, t.prof) {
 			continue
 		}
-		f.requeueCheckpoint(e, t.light, "no board with capacity after crash")
+		f.requeueCheckpoint(e, t.prof, "no board with capacity after crash")
 	}
 }
 
@@ -151,10 +151,10 @@ func (f *Fleet) declareDead(b *board, reason string) {
 // admission queue; placeQueued retries the restore each barrier until a
 // survivor has capacity. Re-entrants bypass the fleet queue limit and
 // are not re-counted as arrivals.
-func (f *Fleet) requeueCheckpoint(e ckpt.Entry, light []float64, why string) {
+func (f *Fleet) requeueCheckpoint(e ckpt.Entry, prof []branchEst, why string) {
 	ec := e
 	f.mu.Lock()
-	f.queue = append(f.queue, &waiting{id: e.Ck.ID, cfg: e.Ck.Cfg, light: light, ck: &ec})
+	f.queue = append(f.queue, &waiting{id: e.Ck.ID, cfg: e.Ck.Cfg, prof: prof, ck: &ec})
 	f.mu.Unlock()
 	f.event(obs.FleetEvent{Kind: "requeue", Stream: e.Ck.ID, Name: e.Ck.Cfg.Name,
 		From: e.Board, Tier: serve.ClassOf(e.Ck.Cfg), Tenant: e.Ck.Cfg.Tenant,
@@ -169,8 +169,8 @@ func (f *Fleet) requeueCheckpoint(e ckpt.Entry, light []float64, why string) {
 // registry mirror has it, and re-enters WFQ at the destination's
 // current virtual time. Reports false when no survivor can take the
 // stream right now.
-func (f *Fleet) tryRestore(e ckpt.Entry, light []float64) bool {
-	dest, sc := f.bestBoard(e.Ck.Cfg, light, nil, false)
+func (f *Fleet) tryRestore(e ckpt.Entry, prof []branchEst) bool {
+	dest, sc := f.bestBoard(e.Ck.Cfg, prof, nil, false)
 	if dest == nil {
 		return false
 	}
@@ -179,7 +179,7 @@ func (f *Fleet) tryRestore(e ckpt.Entry, light []float64) bool {
 		return false
 	}
 	f.live = append(f.live, &tracked{
-		id: e.Ck.ID, handle: h, board: dest, cfg: e.Ck.Cfg, light: light,
+		id: e.Ck.ID, handle: h, board: dest, cfg: e.Ck.Cfg, prof: prof,
 		migrations: e.Ck.Migrations,
 	})
 	f.store.Rehome(e.Ck.ID, dest.name)

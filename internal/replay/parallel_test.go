@@ -154,43 +154,70 @@ func writeJSONL[T any](t *testing.T, path string, recs []T) {
 	}
 }
 
-// sequentialLoad is the reference loader: each file read whole and
-// decoded by one json.Decoder, decision files sorted stably.
+// sequentialLoad is the reference loader for well-formed files: each
+// file loaded by wholeFileLoad.
 func sequentialLoad(t *testing.T, files ...string) *Corpus {
 	t.Helper()
 	c := &Corpus{}
 	for _, path := range files {
-		r, err := obs.OpenTrace(path)
+		tf, err := wholeFileLoad(path)
 		if err != nil {
 			t.Fatal(err)
-		}
-		data, err := io.ReadAll(r)
-		r.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		tf := TraceFile{Path: path}
-		if bytes.Contains(data, []byte(`"kind"`)) {
-			tf.Fleet = decodeAll[obs.FleetEvent](t, data)
-		} else {
-			tf.Decisions = decodeAll[obs.Decision](t, data)
-			obs.SortDecisions(tf.Decisions)
 		}
 		c.Files = append(c.Files, tf)
 	}
 	return c
 }
 
-func decodeAll[T any](t *testing.T, data []byte) []T {
-	t.Helper()
+// wholeFileLoad is the reference for loading one trace file: the file
+// read whole, its type sniffed by map-decoding the first JSON value,
+// and every record decoded by one json.Decoder, decision files sorted
+// stably. Errors read as Load words them.
+func wholeFileLoad(path string) (TraceFile, error) {
+	r, err := obs.OpenTrace(path)
+	if err != nil {
+		return TraceFile{}, fmt.Errorf("replay: %w", err)
+	}
+	data, err := io.ReadAll(r)
+	r.Close()
+	if err != nil {
+		return TraceFile{}, fmt.Errorf("replay: %s: %w", path, err)
+	}
+	tf := TraceFile{Path: path}
+	var first json.RawMessage
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&first); err != nil {
+		if len(bytes.TrimSpace(data)) == 0 {
+			return tf, nil
+		}
+		return TraceFile{}, fmt.Errorf("replay: %s: record 1: %w", path, err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(first, &keys); err != nil {
+		return TraceFile{}, fmt.Errorf("replay: %s: record 1: %w", path, err)
+	}
+	if _, fleet := keys["kind"]; fleet {
+		tf.Fleet, err = decodeAll[obs.FleetEvent](data, "fleet")
+	} else {
+		tf.Decisions, err = decodeAll[obs.Decision](data, "decision")
+		obs.SortDecisions(tf.Decisions)
+	}
+	if err != nil {
+		return TraceFile{}, fmt.Errorf("replay: %s: %w", path, err)
+	}
+	return tf, nil
+}
+
+// decodeAll decodes every JSON value in data with one json.Decoder,
+// numbering records in errors as the obs readers do.
+func decodeAll[T any](data []byte, kind string) ([]T, error) {
 	var out []T
 	dec := json.NewDecoder(bytes.NewReader(data))
 	for {
 		var v T
 		if err := dec.Decode(&v); err == io.EOF {
-			return out
+			return out, nil
 		} else if err != nil {
-			t.Fatal(err)
+			return nil, fmt.Errorf("obs: %s record %d: %w", kind, len(out)+1, err)
 		}
 		out = append(out, v)
 	}
@@ -271,6 +298,71 @@ func TestLoadMatchesSequentialLoad(t *testing.T) {
 	if _, err := Load(first); err == nil || err.Error() != fmt.Sprintf("replay: %s: %v", first, gzip.ErrChecksum) {
 		t.Fatalf("corrupt gzip: error %v, want the checksum error", err)
 	}
+}
+
+// FuzzLoad: for any file contents, plain or gzipped, Load never panics
+// and returns what wholeFileLoad returns — the same corpus, or an error
+// with the same text.
+func FuzzLoad(f *testing.F) {
+	dec, err := json.Marshal(obs.Decision{Stream: 2, Seq: 1, Frame: 8, Policy: "full", SimMS: 12.5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	ev, err := json.Marshal(obs.FleetEvent{Seq: 1, Barrier: 3, Kind: "migrate", Stream: 1, From: "b0", To: "b1"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		string(dec) + "\n" + string(dec) + "\n",
+		string(ev) + "\n" + string(ev),
+		string(dec) + "\n" + string(ev) + "\n",
+		string(ev) + "\n" + string(dec) + "\n",
+		string(dec[:len(dec)-5]),
+		"",
+		" \n\v",
+		`{"Kind":"place","seq":2}`,
+		`{"k\u0069nd":"place"}` + "\n" + `{"kind":"migrate"}`,
+		"null\n{\"seq\":1}\n",
+		"[1]\n",
+		"{oops\n",
+		"{}{}\n{} x\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		plain := filepath.Join(dir, "t.jsonl")
+		gz := filepath.Join(dir, "t.jsonl.gz")
+		if err := os.WriteFile(plain, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, err := obs.CreateTrace(gz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{plain, gz} {
+			want, wantErr := wholeFileLoad(path)
+			got, err := Load(path)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s: error %v, want %v", filepath.Base(path), err, wantErr)
+			}
+			if err != nil {
+				if got != nil {
+					t.Fatalf("%s: failed load returned a corpus", filepath.Base(path))
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got, &Corpus{Files: []TraceFile{want}}) {
+				t.Fatalf("%s: corpus differs from a whole-file load", filepath.Base(path))
+			}
+		}
+	})
 }
 
 // TestLoadSniffEdgeCases pins how a file's first record decides its
