@@ -63,21 +63,6 @@ import (
 	"litereconfig/internal/vid"
 )
 
-// parsePolicy maps a policy flag token to the scheduler variant.
-func parsePolicy(s string) (core.Policy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "full", "litereconfig":
-		return core.PolicyFull, nil
-	case "mincost":
-		return core.PolicyMinCost, nil
-	case "maxcontent-resnet", "resnet":
-		return core.PolicyMaxContentResNet, nil
-	case "maxcontent-mobilenet", "mobilenet":
-		return core.PolicyMaxContentMobileNet, nil
-	}
-	return 0, fmt.Errorf("unknown policy %q", s)
-}
-
 // parseFloats splits a comma-separated float list.
 func parseFloats(s string) ([]float64, error) {
 	var out []float64
@@ -134,7 +119,7 @@ func main() {
 	}
 	var policyList []core.Policy
 	for _, tok := range strings.Split(*policies, ",") {
-		p, err := parsePolicy(tok)
+		p, err := serve.ParsePolicy(tok)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"litereconfig/internal/core"
+	"litereconfig/internal/serve"
 )
 
 func TestParsePolicy(t *testing.T) {
@@ -19,13 +20,15 @@ func TestParsePolicy(t *testing.T) {
 		"mobilenet":            core.PolicyMaxContentMobileNet,
 	}
 	for in, want := range cases {
-		got, err := parsePolicy(in)
+		got, err := serve.ParsePolicy(in)
 		if err != nil || got != want {
-			t.Errorf("parsePolicy(%q) = %v, %v; want %v", in, got, err, want)
+			t.Errorf("serve.ParsePolicy(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := parsePolicy("selsa"); err == nil {
-		t.Error("unsupported policy should error")
+	for _, bad := range []string{"selsa", "force-hog"} {
+		if _, err := serve.ParsePolicy(bad); err == nil {
+			t.Errorf("serve.ParsePolicy(%q) accepted", bad)
+		}
 	}
 }
 

@@ -149,7 +149,7 @@ func (f *Fleet) Submit(v *Video, opts StreamOptions) (int, error) {
 	if v == nil {
 		return 0, fmt.Errorf("litereconfig: no video")
 	}
-	policy, err := corePolicy(opts.Policy)
+	policy, err := serve.ParsePolicy(string(opts.Policy))
 	if err != nil {
 		return 0, err
 	}

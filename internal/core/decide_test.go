@@ -7,11 +7,14 @@ import (
 	"testing"
 
 	"litereconfig/internal/adapt"
+	"litereconfig/internal/fault"
 	"litereconfig/internal/feat"
 	"litereconfig/internal/fixture"
 	"litereconfig/internal/mbek"
 	"litereconfig/internal/sched"
 	"litereconfig/internal/simlat"
+	"litereconfig/internal/testutil"
+	"litereconfig/internal/vid"
 )
 
 // TestParsePolicyInvertsName: ParsePolicy maps every variant's Name
@@ -58,39 +61,128 @@ func TestParsePolicyInvertsName(t *testing.T) {
 	}
 }
 
+// decideWindow is what decideAllocs measured over its window.
+type decideWindow struct {
+	allocs       uint64 // allocations per warm Decide, rounded up
+	heavy        int    // heavy features extracted
+	switches     int    // times the kernel's branch changed
+	extractFails int    // heavy-feature extractions the injector failed
+}
+
+// decideAllocs counts the allocations per warm Decide: 20 warm-up
+// decisions, then 300 measured ones, each followed by its SetBranch
+// outside the measured window (the kernel's switch log grows with the
+// run, and that is kernel memory, not the decision path's). move, when
+// non-nil, runs before each SetBranch, also outside the window. inj,
+// when non-nil, is the injector installed on schd; its extraction
+// failures are counted over the window.
+func decideAllocs(t *testing.T, schd *Scheduler, k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, inj *fault.Injector, move func(i int)) decideWindow {
+	const warmup, decisions = 20, 300
+	i := 0
+	var b mbek.Branch
+	decide := func() { b = schd.Decide(k, clock, v, v.Frames[i%len(v.Frames)]) }
+	apply := func() {
+		if move != nil {
+			move(i)
+		}
+		k.SetBranch(b, i)
+		i++
+	}
+	var w decideWindow
+	var before map[feat.Kind]int
+	w.allocs, _ = testutil.MeasureAllocs(t,
+		func() {
+			for i < warmup {
+				decide()
+				apply()
+			}
+			before = schd.FeatureUse()
+			w.switches = -k.Switches()
+			if inj != nil {
+				w.extractFails = -inj.Counts()["extract_fail"]
+			}
+		},
+		func() bool {
+			if i == warmup+decisions {
+				return false
+			}
+			decide()
+			return true
+		},
+		apply)
+	for kind, n := range schd.FeatureUse() {
+		w.heavy += n - before[kind]
+	}
+	w.switches += k.Switches()
+	if inj != nil {
+		w.extractFails += inj.Counts()["extract_fail"]
+	}
+	return w
+}
+
 // TestDecideZeroAllocs pins the hot-path invariant: a warm Decide of the
-// full policy allocates nothing, including decisions that select and
-// extract heavy features, with mean and with risk admission.
+// full policy allocates nothing, under every decision configuration the
+// serving paths exercise. At SLO 50 the scheduler runs under contention,
+// a fault injector, the online adapter and risk admission, but selects
+// no heavy feature. At SLO 100 the analyzer selects and extracts heavy
+// features, with mean and with risk admission, and with the fault
+// injector failing some of those extractions or the online adapter
+// correcting the models.
 func TestDecideZeroAllocs(t *testing.T) {
 	s := setup(t)
-	for _, q := range []float64{0, 0.95} {
-		schd, err := New(Options{Models: s.Models, SLO: 100, Policy: PolicyFull, RiskQuantile: q})
-		if err != nil {
-			t.Fatal(err)
-		}
-		v := s.Corpus.Val[0]
-		clock := simlat.NewClock(simlat.TX2, 3)
-		k := mbek.NewKernel(schd.models.Det, clock)
-		k.Start(v)
-		i := 0
-		decide := func() {
-			k.SetBranch(schd.Decide(k, clock, v, v.Frames[i%len(v.Frames)]), i)
-			i++
-		}
-		for j := 0; j < 20; j++ {
-			decide()
-		}
-		before := schd.FeatureUse()
-		if allocs := testing.AllocsPerRun(50, decide); allocs != 0 {
-			t.Errorf("risk q=%v: %v allocs per warm Decide, want 0", q, allocs)
-		}
-		used := 0
-		for kind, n := range schd.FeatureUse() {
-			used += n - before[kind]
-		}
-		if used == 0 {
-			t.Errorf("risk q=%v: no heavy feature selected in the measured window", q)
-		}
+	for _, c := range []struct {
+		name       string
+		slo        float64
+		contention float64
+		riskQ      float64
+		faults     bool
+		adapt      bool
+	}{
+		{name: "slo100", slo: 100},
+		{name: "slo100_risk0.95", slo: 100, riskQ: 0.95},
+		{name: "slo100_faults", slo: 100, faults: true},
+		{name: "slo100_adapt", slo: 100, adapt: true},
+		{name: "slo50_contention0.1", slo: 50, contention: 0.1},
+		{name: "slo50_contention0.3", slo: 50, contention: 0.3},
+		{name: "slo50_faults", slo: 50, contention: 0.1, faults: true},
+		{name: "slo50_adapt", slo: 50, contention: 0.1, adapt: true},
+		{name: "slo50_risk0.95", slo: 50, contention: 0.3, riskQ: 0.95},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := Options{Models: s.Models, SLO: c.slo, Policy: PolicyFull, RiskQuantile: c.riskQ}
+			if c.adapt {
+				models, err := s.Models.Clone()
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Models = models
+				opts.Adapt = &adapt.Config{}
+			}
+			schd, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var inj *fault.Injector
+			if c.faults {
+				inj = fault.NewInjector(fault.Config{Seed: 6, SpikeRate: 0.05, ExtractFailRate: 0.08}, 1)
+				schd.SetInjector(inj)
+			}
+			v := s.Corpus.Val[0]
+			clock := simlat.NewClock(simlat.TX2, 3)
+			clock.SetContention(c.contention)
+			k := mbek.NewKernel(schd.models.Det, clock)
+			k.Start(v)
+			w := decideAllocs(t, schd, k, clock, v, inj, nil)
+			if w.allocs != 0 {
+				t.Errorf("%d allocs per warm Decide, want 0", w.allocs)
+			}
+			if c.slo == 100 && w.heavy == 0 {
+				t.Error("no heavy feature selected in the measured window")
+			}
+			if c.slo == 100 && c.faults && w.extractFails == 0 {
+				t.Error("no heavy-feature extraction failed in the measured window")
+			}
+		})
 	}
 }
 
@@ -227,7 +319,8 @@ func TestPrunedValueMatchesFullScan(t *testing.T) {
 // TestDecideZeroAllocsAcrossSwitches is TestDecideZeroAllocs with the
 // current branch moved before every other decision, so the cached
 // C(cur, ·) row is repriced inside the measured window, with and without
-// the online adapter's per-pair overrides.
+// the online adapter. With the adapter each move also feeds the realized
+// switch cost back, so the repriced rows read its per-pair overrides.
 func TestDecideZeroAllocsAcrossSwitches(t *testing.T) {
 	s := setup(t)
 	for _, adaptOn := range []bool{false, true} {
@@ -238,7 +331,7 @@ func TestDecideZeroAllocsAcrossSwitches(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts.Models = models
-			opts.Adapt = &adapt.Config{Label: "test"}
+			opts.Adapt = &adapt.Config{Label: "test", SwitchMinSamples: 1}
 		}
 		schd, err := New(opts)
 		if err != nil {
@@ -249,25 +342,33 @@ func TestDecideZeroAllocsAcrossSwitches(t *testing.T) {
 		k := mbek.NewKernel(schd.models.Det, clock)
 		k.Start(v)
 		bs := schd.models.Branches
-		i := 0
-		decide := func() {
+		// Move off the chosen branch so the next decision prices a
+		// different C(cur, ·) row.
+		move := func(i int) {
 			if i%2 == 1 {
-				// Move off the chosen branch so the next decision prices a
-				// different C(cur, ·) row.
-				k.SetBranch(bs[(i*7)%len(bs)], i)
+				prev, to := k.Branch(), bs[(i*7)%len(bs)]
+				if cost := k.SetBranch(to, i); cost > 0 {
+					schd.ObserveSwitch(prev, to, cost)
+				}
 			}
-			k.SetBranch(schd.Decide(k, clock, v, v.Frames[i%len(v.Frames)]), i)
-			i++
 		}
-		for j := 0; j < 200; j++ {
-			decide()
+		w := decideAllocs(t, schd, k, clock, v, nil, move)
+		if w.allocs != 0 {
+			t.Errorf("adapt=%v: %d allocs per warm Decide across switches, want 0", adaptOn, w.allocs)
 		}
-		switches := k.Switches()
-		if allocs := testing.AllocsPerRun(50, decide); allocs != 0 {
-			t.Errorf("adapt=%v: %v allocs per warm Decide across switches, want 0", adaptOn, allocs)
-		}
-		if k.Switches() == switches {
+		if w.switches == 0 {
 			t.Errorf("adapt=%v: the current branch never changed in the measured window", adaptOn)
+		}
+		if adaptOn {
+			overridden := 0
+			for _, to := range bs {
+				if _, ok := schd.adapter.SwitchCostMS(k.Branch(), to); ok {
+					overridden++
+				}
+			}
+			if overridden == 0 {
+				t.Error("adapt=true: no switch-cost override on the current branch's row")
+			}
 		}
 	}
 }

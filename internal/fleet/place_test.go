@@ -5,6 +5,7 @@ import (
 
 	"litereconfig/internal/serve"
 	"litereconfig/internal/simlat"
+	"litereconfig/internal/testutil"
 )
 
 // Scoring an already-profiled stream is pure board arithmetic: across
@@ -28,7 +29,7 @@ func TestScoreBoardsZeroAllocs(t *testing.T) {
 		cfg := serve.StreamConfig{Video: video(901, 12), SLO: 50, BaseContention: 0.2}
 		prof := f.profile(cfg)
 		var sink score
-		allocs := testing.AllocsPerRun(50, func() {
+		allocs := testutil.AllocsPerRun(t, 300, func() {
 			for _, b := range f.boards {
 				sink = f.scoreBoard(b, cfg.SLO, cfg.BaseContention, prof, 0.1)
 			}
@@ -36,7 +37,7 @@ func TestScoreBoardsZeroAllocs(t *testing.T) {
 			_, sink = f.bestBoardQueue(cfg, prof)
 		})
 		if allocs != 0 {
-			t.Fatalf("risk q %v: scoring %d boards allocated %v times per run, want 0",
+			t.Fatalf("risk q %v: scoring %d boards allocated %d times per run, want 0",
 				q, len(f.boards), allocs)
 		}
 		if !sink.feasible && sink.lat == 0 {

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"litereconfig/internal/testutil"
 )
 
 func TestLatencyBasics(t *testing.T) {
@@ -234,9 +236,9 @@ func TestPercentileSinceScratchReuse(t *testing.T) {
 			t.Fatal("PercentileSince reordered the series' samples")
 		}
 	}
-	allocs := testing.AllocsPerRun(100, func() { s.PercentileSince(100, 95) })
+	allocs := testutil.AllocsPerRun(t, 300, func() { s.PercentileSince(100, 95) })
 	if allocs != 0 {
-		t.Fatalf("steady-state PercentileSince allocates %v/op, want 0", allocs)
+		t.Fatalf("steady-state PercentileSince allocates %d/op, want 0", allocs)
 	}
 }
 

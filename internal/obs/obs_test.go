@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"litereconfig/internal/testutil"
 )
 
 func TestCounterGaugeConcurrent(t *testing.T) {
@@ -228,10 +230,10 @@ func TestLabeledMemoization(t *testing.T) {
 			t.Fatalf("repeat %d: got %q", i, got)
 		}
 	}
-	allocs := testing.AllocsPerRun(100, func() {
+	allocs := testutil.AllocsPerRun(t, 300, func() {
 		Labeled("serve_rounds_total", L("board", "b7"), L("class", "gold"))
 	})
 	if allocs != 0 {
-		t.Fatalf("cached Labeled allocates %v/op, want 0", allocs)
+		t.Fatalf("cached Labeled allocates %d/op, want 0", allocs)
 	}
 }

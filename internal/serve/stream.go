@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"strings"
 
 	"litereconfig/internal/adapt"
 	"litereconfig/internal/contend"
@@ -61,6 +62,21 @@ type StreamConfig struct {
 	// default" (0.5); a negative value requests an explicit zero
 	// estimate (admit unconditionally until first measurement).
 	EstOccupancy float64
+}
+
+// ParsePolicy maps a policy token to a StreamConfig.Policy through
+// core.ParsePolicy. An empty token means core.PolicyFull. A forced
+// feature ("force-hog") is an error: StreamConfig has no field to carry
+// the feature.
+func ParsePolicy(s string) (core.Policy, error) {
+	if strings.TrimSpace(s) == "" {
+		return core.PolicyFull, nil
+	}
+	p, _, err := core.ParsePolicy(s)
+	if err == nil && p == core.PolicyForceFeature {
+		return 0, fmt.Errorf("serve: policy %q forces a feature, which a stream cannot carry", s)
+	}
+	return p, err
 }
 
 // stream is the engine-internal state of one admitted or queued stream.

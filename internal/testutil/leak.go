@@ -13,6 +13,7 @@ type TB interface {
 	Helper()
 	Cleanup(func())
 	Errorf(format string, args ...any)
+	Skip(args ...any)
 }
 
 // CheckGoroutines snapshots the current goroutine count and registers a

@@ -14,6 +14,7 @@ type fakeTB struct {
 func (f *fakeTB) Helper()               {}
 func (f *fakeTB) Cleanup(fn func())     { f.cleanups = append(f.cleanups, fn) }
 func (f *fakeTB) Errorf(string, ...any) { f.failed = true }
+func (f *fakeTB) Skip(...any)           {}
 func (f *fakeTB) runCleanups() {
 	for i := len(f.cleanups) - 1; i >= 0; i-- {
 		f.cleanups[i]()

@@ -43,6 +43,7 @@ import (
 	"litereconfig/internal/metric"
 	"litereconfig/internal/obs"
 	"litereconfig/internal/sched"
+	"litereconfig/internal/serve"
 	"litereconfig/internal/simlat"
 	"litereconfig/internal/vid"
 )
@@ -56,7 +57,12 @@ const (
 	Xavier Device = "xv"
 )
 
-// Policy selects the scheduler variant.
+// Policy selects the scheduler variant. Besides the constants below, any
+// name core.ParsePolicy accepts is taken: matching ignores case, the
+// scheduler names ("LiteReconfig-MinCost") and the short aliases
+// "resnet" and "mobilenet" work, and the empty string means Full. A
+// forced-feature policy ("force-hog") and an unknown name are errors,
+// the latter prefixed "core: unknown policy".
 type Policy string
 
 // Scheduler variants (Sec. 4 of the paper).
@@ -293,7 +299,7 @@ func NewSystem(models *Models, cfg Config) (*System, error) {
 	if !ok {
 		return nil, fmt.Errorf("litereconfig: unknown device %q", cfg.Device)
 	}
-	policy, err := corePolicy(cfg.Policy)
+	policy, err := serve.ParsePolicy(string(cfg.Policy))
 	if err != nil {
 		return nil, err
 	}

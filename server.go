@@ -3,7 +3,6 @@ package litereconfig
 import (
 	"fmt"
 
-	"litereconfig/internal/core"
 	"litereconfig/internal/serve"
 	"litereconfig/internal/simlat"
 )
@@ -153,7 +152,7 @@ func (s *Server) Submit(v *Video, opts StreamOptions) (*StreamHandle, error) {
 	if v == nil {
 		return nil, fmt.Errorf("litereconfig: no video")
 	}
-	policy, err := corePolicy(opts.Policy)
+	policy, err := serve.ParsePolicy(string(opts.Policy))
 	if err != nil {
 		return nil, err
 	}
@@ -328,19 +327,4 @@ func streamReport(r *serve.StreamResult) StreamReport {
 		rep.Breakdown = breakdownMap(r.Raw.Breakdown)
 	}
 	return rep
-}
-
-// corePolicy maps the public Policy to the scheduler variant.
-func corePolicy(p Policy) (core.Policy, error) {
-	switch p {
-	case "", Full:
-		return core.PolicyFull, nil
-	case MinCost:
-		return core.PolicyMinCost, nil
-	case MaxContentResNet:
-		return core.PolicyMaxContentResNet, nil
-	case MaxContentMobileNet:
-		return core.PolicyMaxContentMobileNet, nil
-	}
-	return 0, fmt.Errorf("litereconfig: unknown policy %q", p)
 }
