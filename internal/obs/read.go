@@ -27,7 +27,9 @@ import (
 // over that line and the rest of the stream, numbering records on. The
 // result — records, and the error text of a malformed trace — is
 // therefore the same as one json.Decoder reading the whole stream,
-// multi-line or concatenated records included.
+// multi-line or concatenated records included. A line in the canonical
+// form the writers emit skips json.Unmarshal for a hand-written decoder
+// with a bit-equal result (decodeDecision).
 func ReadDecisions(r io.Reader) ([]Decision, error) {
 	return readJSONL[Decision](r, "decision", windowBytes)
 }
@@ -68,7 +70,7 @@ func readJSONL[T any](r io.Reader, kind string, window int) ([]T, error) {
 		errs = slices.Grow(errs[:0], len(lines))[:len(lines)]
 		clear(errs)
 		par.For(par.Workers(len(lines)), len(lines), func(_, i int) {
-			errs[i] = json.Unmarshal(win[lines[i].lo:lines[i].hi], &out[base+i])
+			errs[i] = unmarshalLine(win[lines[i].lo:lines[i].hi], &out[base+i])
 		})
 		bad := slices.IndexFunc(errs, func(err error) bool { return err != nil })
 		if bad < 0 {

@@ -61,7 +61,7 @@ func checkMatchesSequential[T any](t *testing.T, data []byte, kind string) {
 			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 				t.Fatalf("%s, window %d: error %v, want %v", v.name, window, err, wantErr)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(got, want) || !sameJSON(t, got, want) {
 				t.Fatalf("%s, window %d: records differ from the sequential decoder:\ngot  %+v\nwant %+v",
 					v.name, window, got, want)
 			}
@@ -72,7 +72,9 @@ func checkMatchesSequential[T any](t *testing.T, data []byte, kind string) {
 // readSeeds are trace shapes the fast path must take or hand over to
 // the sequential decoder: real payload lines, a pretty-printed
 // multi-line record, two records on one line, blank lines, a truncated
-// tail, and values that are not decision objects.
+// tail, values that are not decision objects, and the canonical edge
+// and near-canonical fallback lines of the line decoder, each alone and
+// all in one trace.
 func readSeeds(t testing.TB) [][]byte {
 	o := New()
 	o.record(fullDecision())
@@ -89,7 +91,7 @@ func readSeeds(t testing.TB) [][]byte {
 		t.Fatal(err)
 	}
 	first, second, _ := bytes.Cut(lines, []byte("\n"))
-	return [][]byte{
+	seeds := [][]byte{
 		lines,
 		append(append(append([]byte{}, lines...), pretty...), '\n'),
 		append(append(append([]byte{}, first...), ' '), second...),
@@ -103,6 +105,11 @@ func readSeeds(t testing.TB) [][]byte {
 		[]byte("{\"seq\":1}\n\f\n{\"seq\":2}"),
 		[]byte("[1,\n2]\n{\"seq\":3}\n"),
 	}
+	edges := append(slices.Clone(canonicalEdgeLines), fallbackLines...)
+	for _, l := range edges {
+		seeds = append(seeds, []byte(l+"\n"))
+	}
+	return append(seeds, []byte(strings.Join(edges, "\n")))
 }
 
 // TestReadMatchesSequentialDecoder checks the seed shapes at every

@@ -27,6 +27,7 @@ func fullDecision() Decision {
 		AdaptVersion: "s3.v2", AdaptEvent: "promote",
 		AdaptChampErrMS: 2.1, AdaptChalErrMS: 1.6,
 		GoFFrames: 8, RealizedMS: 31.25,
+		RiskQ: 0.95, PredP95MS: 41.5, FailProb: 0.0625,
 		Replay: &ReplayPayload{
 			SLOMS: 33.3, SafetyFactor: 0.95, BudgetMS: 31.635,
 			Hysteresis: 0.01, CostWeight: 0.5,
@@ -42,7 +43,26 @@ func fullDecision() Decision {
 			Acc:         []float64{0.52, 0.57, 0.61},
 			KernelMS:    []float64{10.5, 20.25, 30.125},
 			FeatCostMS:  map[string]float64{"resnet": 9.5, "hoc": 2.25},
+			PolicyRev:   1,
+			RiskQ:       0.95,
+			RiskFactor:  []float64{1.25, 1.5e-7, 3e21},
+			FailProb:    []float64{0.02, 0.05, 0.125},
 		},
+	}
+}
+
+// TestFullDecisionSetsEveryField keeps fullDecision complete: a field
+// added to the schema later and left zero here would be omitted from the
+// fixture's trace line, so neither the round trip nor the canonical
+// decoder's coverage test would ever see it.
+func TestFullDecisionSetsEveryField(t *testing.T) {
+	d := fullDecision()
+	for _, v := range []reflect.Value{reflect.ValueOf(d), reflect.ValueOf(*d.Replay)} {
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Type().Field(i); f.IsExported() && v.Field(i).IsZero() {
+				t.Errorf("fullDecision leaves %s.%s zero", v.Type().Name(), f.Name)
+			}
+		}
 	}
 }
 
