@@ -237,7 +237,6 @@ type Adapter struct {
 	refits       int
 	samples      int
 	event        string // pending trace event: "promote" or "demote"
-	broken       bool   // clone failed; adaptation disabled
 
 	samplesCtr *obs.Counter
 	refitsCtr  *obs.Counter
@@ -246,24 +245,20 @@ type Adapter struct {
 }
 
 // New builds an adapter around the live models: models stays the
-// champion the scheduler reads, and a clone (sharing the read-only
-// networks, owning its latency-model state) becomes the mutable
-// challenger. Returns an error only when the models cannot be cloned.
-func New(cfg Config, models *sched.Models) (*Adapter, error) {
+// champion the scheduler reads, and a challenger copy of it (sharing
+// the read-only networks, owning its latency-model state) becomes the
+// one the adapter refits.
+func New(cfg Config, models *sched.Models) *Adapter {
 	cfg.applyDefaults()
-	chal, err := models.Clone()
-	if err != nil {
-		return nil, fmt.Errorf("adapt: clone challenger: %w", err)
-	}
 	a := &Adapter{
 		cfg:          cfg,
 		champion:     models,
-		challenger:   chal,
+		challenger:   models.RefitClone(),
 		switches:     map[branchPair]*switchEstimate{},
 		versionLabel: "v0",
 	}
 	a.buildRLS()
-	return a, nil
+	return a
 }
 
 // buildRLS seeds the per-branch RLS banks from the challenger's
@@ -316,9 +311,6 @@ func (a *Adapter) Champion() *sched.Models { return a.champion }
 // challenger on the same branch (predict-only — nothing is charged to
 // the clock and nothing executes).
 func (a *Adapter) Begin(s Sample) {
-	if a.broken {
-		return
-	}
 	det, trk := a.challenger.PredictLatency(s.Branch, s.Light)
 	s.chalMS = det*s.GPUScale + trk*s.CPUScale*a.challenger.CPUAdjFactor() +
 		s.OverheadMS + a.challenger.LatencyBiasMS(s.Branch)
@@ -335,7 +327,7 @@ func (a *Adapter) Begin(s Sample) {
 // C(b0, b) table. Cold-miss spikes are clamped to a multiple of the
 // model cost so one pathological hand-off cannot poison the estimate.
 func (a *Adapter) ObserveSwitch(from, to mbek.Branch, costMS float64) {
-	if a.broken || costMS <= 0 {
+	if costMS <= 0 {
 		return
 	}
 	model := mbek.SwitchCostMS(from, to)
@@ -375,7 +367,7 @@ func (a *Adapter) SwitchCostMS(from, to mbek.Branch) (ms float64, ok bool) {
 // scheduler must adopt the returned models before its next decision —
 // this barrier hand-off is what keeps fixed-seed runs byte-identical.
 func (a *Adapter) ObserveOutcome(o Outcome) (m *sched.Models, changed bool) {
-	if a.broken || !a.hasPending || o.Frames <= 0 {
+	if !a.hasPending || o.Frames <= 0 {
 		a.hasPending = false
 		return a.champion, false
 	}
@@ -545,11 +537,7 @@ func (a *Adapter) tryPromote() bool {
 	if a.promoteStreak < a.cfg.PromoteWindow {
 		return false
 	}
-	next, err := a.challenger.Clone()
-	if err != nil {
-		a.broken = true
-		return false
-	}
+	next := a.challenger.RefitClone()
 	a.promSeq++
 	label := fmt.Sprintf("%s.v%d", a.cfg.Label, a.promSeq)
 	v := Version{
@@ -595,11 +583,7 @@ func (a *Adapter) tryDemote() bool {
 	if a.demoteStreak < a.cfg.DemoteWindow {
 		return false
 	}
-	chal, err := a.prevChampion.Clone()
-	if err != nil {
-		a.broken = true
-		return false
-	}
+	chal := a.prevChampion.RefitClone()
 	a.champion = a.prevChampion
 	a.versionLabel = a.prevLabel
 	a.challenger = chal

@@ -317,11 +317,7 @@ func New(opts Options) (*Scheduler, error) {
 		scrHeavy:   map[feat.Kind][]float64{},
 	}
 	if s.adapter == nil && opts.Adapt != nil {
-		a, err := adapt.New(*opts.Adapt, opts.Models)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		s.adapter = a
+		s.adapter = adapt.New(*opts.Adapt, opts.Models)
 	}
 	if opts.RiskQuantile > 0 {
 		s.riskZ = glm.NormalQuantile(opts.RiskQuantile)

@@ -294,13 +294,9 @@ type Fleet struct {
 	// computed once.
 	models *sched.Models
 	boards []*board
-	// riskZ caches the standard-normal quantile of Options.RiskQuantile
-	// for risk-aware placement scoring; zero under mean placement.
-	// quantile and logStd hold each branch's QuantileFactor at riskZ and
-	// its LatLogStd; both are nil under mean placement.
-	riskZ    float64
-	quantile []float64
-	logStd   []float64
+	// risk holds each branch's risk-aware placement terms at
+	// Options.RiskQuantile; nil under mean placement.
+	risk []branchRisk
 
 	mu         sync.Mutex
 	nextID     int
@@ -321,6 +317,9 @@ type Fleet struct {
 	// still closed (== len(boards) once rollout has reached every
 	// board; 0 only before Run when staging is on).
 	adaptFrontier int
+	// occs is checkMigrations' stream-id → occupancy buffer, refilled
+	// at every barrier.
+	occs map[int]float64
 
 	// Crash-recovery state (nil/zero when no board schedules fail-stop
 	// faults and CheckpointInterval is unset, so fault-free runs take
@@ -372,14 +371,13 @@ func New(opts Options) (*Fleet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: cloning scoring models: %w", err)
 	}
-	f := &Fleet{opts: opts, obsv: opts.Observer, models: models}
-	if opts.RiskQuantile > 0 {
-		f.riskZ = glm.NormalQuantile(opts.RiskQuantile)
-		n := len(models.Branches)
-		f.quantile, f.logStd = make([]float64, n), make([]float64, n)
-		for bi := 0; bi < n; bi++ {
-			f.quantile[bi] = models.QuantileFactor(bi, f.riskZ)
-			f.logStd[bi] = models.LatLogStd(bi)
+	f := &Fleet{opts: opts, obsv: opts.Observer, models: models, occs: map[int]float64{}}
+	// A quantile at or below the median (z ≤ 0), the default 0 included,
+	// places on the mean.
+	if z := glm.NormalQuantile(opts.RiskQuantile); z > 0 {
+		f.risk = make([]branchRisk, len(models.Branches))
+		for bi := range f.risk {
+			f.risk[bi] = newBranchRisk(models.QuantileFactor(bi, z), models.LatLogStd(bi))
 		}
 	}
 	seen := map[string]bool{}

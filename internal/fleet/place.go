@@ -31,7 +31,7 @@ func estOcc(cfg serve.StreamConfig) float64 {
 // branch under the contention the stream would see there. When no
 // branch is feasible the score falls back to the cheapest branch
 // (feasible=false) so a best-effort placement is still ranked.
-// Under risk-aware placement (Fleet.riskZ > 0) attain is the chosen
+// Under risk-aware placement (Fleet.risk != nil) attain is the chosen
 // branch's SLO-attainment probability — P(lognormal latency ≤ planning
 // budget) — and outranks the accuracy comparison; it stays zero under
 // mean placement so legacy ranking is untouched.
@@ -69,6 +69,51 @@ func (s score) better(o score) bool {
 // latency (TX2 units, no contention) and its predicted A(b, f_L).
 type branchEst struct {
 	det, trk, acc float64
+}
+
+// branchRisk is one branch's fleet-wide risk-aware placement terms,
+// computed once in New: its QuantileFactor at the configured quantile,
+// its LatLogStd σ, and the two cut factors that bound the exact tails
+// of glm.AttainProb(ln lat, σ, ln budget) = ½·erfc(−z/√2), with
+// z = (ln budget − ln lat)/σ.
+//
+// winCut = exp(−8.6σ): lat ≤ budget·winCut puts z at 8.6 less rounding,
+// so −z/√2 < −6, where math.Erfc returns exactly 2 (its "x < −6" path)
+// and the attainment is exactly 1.
+//
+// loseCut = exp(−8σ): lat ≥ budget·loseCut puts z at 8 plus rounding,
+// where the true 1 − Φ(z) is at least ≈6.2e-16. math.Erfc computes
+// 2 − r/x there with one rounding, which lands at least five doubles
+// below 2 (their spacing is 2.2e-16), so the computed attainment is
+// below 1.
+//
+// The rounding in ln, exp, the products and the division is a few
+// ulps of numbers below 745 in magnitude, at most ≈1e-12 in z·σ, while
+// each cut keeps a margin of at least 0.1σ (8.6 against 6√2 ≈ 8.485,
+// and 8 against the ≈8.29 where the computed value first rounds to 1).
+// That holds for σ > minTailStd. Above maxTailStd, or with no σ at
+// all, the cuts are 0 and +Inf and neither shortcut fires; bounding σ
+// keeps both cuts, and with a budget of at least minTailBudget both
+// products budget·cut, normal floats.
+type branchRisk struct {
+	quantile, logStd float64
+	winCut, loseCut  float64
+}
+
+const (
+	minTailStd    = 1e-6
+	maxTailStd    = 10
+	minTailBudget = 1e-250
+)
+
+func newBranchRisk(quantile, logStd float64) branchRisk {
+	// A zero win cut and an infinite lose cut never fire: a scored
+	// branch has 0 < lat ≤ budget, and the budget is finite.
+	r := branchRisk{quantile: quantile, logStd: logStd, winCut: 0, loseCut: math.Inf(1)}
+	if logStd > minTailStd && logStd <= maxTailStd {
+		r.winCut, r.loseCut = math.Exp(-8.6*logStd), math.Exp(-8*logStd)
+	}
+	return r
 }
 
 // profile prices every branch once for the light features of a
@@ -115,12 +160,29 @@ func (f *Fleet) scoreBoard(b *board, slo, floor float64, prof []branchEst, selfO
 	cpu := b.opts.Device.Factor(simlat.CPU)
 	mult := simlat.ContentionMultiplier(g)
 	budget := slo * f.opts.SafetyFactor
-	logBudget := math.Log(budget)
+	return f.scoreBranches(prof, gpu, mult, cpu, budget, total)
+}
 
-	sc := score{occ: total, acc: -1}
+// scoreBranches picks the stream's best branch on a board with GPU
+// factor gpu, contention multiplier mult and CPU factor cpu; occ is the
+// board's aggregate occupancy, carried into the score for tie-breaking.
+//
+// Under risk-aware placement two exact shortcuts skip the attainment
+// probability where its value is already known (see branchRisk): a
+// branch at or below budget·winCut attains with probability exactly 1,
+// and once the incumbent attains with probability exactly 1, a branch
+// at or above budget·loseCut attains with probability below 1 and
+// cannot win. Every other feasible branch pays math.Log and
+// glm.AttainProb, so the score is bit-identical to the plain scan.
+func (f *Fleet) scoreBranches(prof []branchEst, gpu, mult, cpu, budget, occ float64) score {
+	logBudget := math.Log(budget)
+	sc := score{occ: occ, acc: -1}
 	fallbackLat, fallbackAcc := 0.0, 0.0
 	haveFallback := false
-	riskOn := f.riskZ > 0
+	riskOn := f.risk != nil
+	// The cuts' exactness argument needs budget·cut to be a normal
+	// float, which a finite budget of at least minTailBudget guarantees.
+	tails := budget >= minTailBudget && budget <= math.MaxFloat64
 	for bi := range prof {
 		p := &prof[bi]
 		lat := p.det*gpu*mult + p.trk*cpu
@@ -131,12 +193,20 @@ func (f *Fleet) scoreBoard(b *board, slo, floor float64, prof []branchEst, selfO
 		// immediately degrade on.
 		planLat := lat
 		if riskOn {
-			planLat = lat * f.quantile[bi]
+			planLat = lat * f.risk[bi].quantile
 		}
 		if planLat <= budget {
 			attain := 0.0
 			if riskOn && lat > 0 {
-				attain = glm.AttainProb(math.Log(lat), f.logStd[bi], logBudget)
+				r := &f.risk[bi]
+				switch {
+				case tails && lat <= budget*r.winCut:
+					attain = 1
+				case tails && sc.attain == 1 && lat >= budget*r.loseCut:
+					continue
+				default:
+					attain = glm.AttainProb(math.Log(lat), r.logStd, logBudget)
+				}
 			}
 			if !sc.feasible || attain > sc.attain ||
 				(attain == sc.attain && p.acc > sc.acc) ||
@@ -427,11 +497,10 @@ func (f *Fleet) evacuate(b *board) {
 // board with a feasible branch, if one exists and the stream has
 // hand-offs left.
 func (f *Fleet) checkMigrations() {
-	occs := map[int]float64{}
+	occs := f.occs
+	clear(occs)
 	for _, b := range f.boards {
-		for _, st := range b.srv.StreamStates() {
-			occs[st.ID] = st.Occ
-		}
+		b.srv.Occupancies(occs)
 	}
 	for _, t := range f.live {
 		if t.handle.Result() != nil || t.board.quarantined || t.board.crashed {

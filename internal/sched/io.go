@@ -53,25 +53,34 @@ func LoadFile(path string) (*Models, error) {
 	return Load(f)
 }
 
-// Clone returns a copy of the models for one stream or one adapter
-// role. After Train or Load the networks, standardizers, sketches, Ben,
-// Det, FailNets and the branch table are read-only, so the copy shares
-// them with m. Only what the online adapter mutates is copied — the
-// LatDet/LatTrk regressions, LatVar and LatBiasMS (the scalar
-// calibration fields travel with the struct copy) — and the predictor
-// scratch starts empty. Predictions from a clone are bit-identical to
-// those of a gob Save/Load copy. Cloning a Models is safe while other
-// goroutines predict through their own clones of it. The error is
-// always nil.
+// Clone returns a copy of the models for one stream, one replay worker
+// or one fleet scorer: it shares every field with m and starts with
+// empty predictor scratch, so a clone predicts bit-identically to m and
+// to a gob Save/Load copy, at the cost of one struct copy. After Train
+// or Load no predictor writes the shared state, so each clone may
+// predict on its own goroutine, and cloning m is safe while other
+// goroutines predict through their own clones of it. The one writer is
+// the online adapter, which refits a RefitClone in place, so no refit
+// reaches m or another clone. The error is always nil.
 func (m *Models) Clone() (*Models, error) {
 	c := *m
 	c.scrNorm, c.scrHeavy, c.scrSketch, c.scrContent, c.scrNZ = nil, nil, nil, nil, nil
 	c.scrNN = nn.Scratch{}
+	return &c, nil
+}
+
+// RefitClone returns a Clone that also owns the latency-model state the
+// online adapter refits in place: the LatDet/LatTrk regressions with
+// their coefficients, LatVar and LatBiasMS (the scalar calibration
+// fields travel with the struct copy). The adapter's challenger is one,
+// so its refits never reach the models it was copied from.
+func (m *Models) RefitClone() *Models {
+	c, _ := m.Clone()
 	c.LatDet = cloneLinregs(m.LatDet)
 	c.LatTrk = cloneLinregs(m.LatTrk)
 	c.LatVar = append([]glm.VarAcc(nil), m.LatVar...)
 	c.LatBiasMS = append([]float64(nil), m.LatBiasMS...)
-	return &c, nil
+	return c
 }
 
 // cloneLinregs deep-copies a slice of regressions, coefficients

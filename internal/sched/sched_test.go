@@ -485,14 +485,17 @@ func TestCloneMatchesGobCopy(t *testing.T) {
 	}
 }
 
+// The adapter refits a RefitClone in place; none of its writes may
+// reach the models it was copied from, nor a plain Clone of them.
 func TestCloneIsolatesAdapterState(t *testing.T) {
 	ds, orig := fixture(t)
 	parent := adaptedCopy(t, orig)
 	before := predictAll(parent, ds.Samples)
-	c, err := parent.Clone()
+	sibling, err := parent.Clone()
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := parent.RefitClone()
 	// Every write the online adapter makes, in place where the adapter
 	// writes in place (RLS coefficients, the bias and variance slots).
 	for bi, lr := range c.LatDet {
@@ -517,6 +520,7 @@ func TestCloneIsolatesAdapterState(t *testing.T) {
 	c.LatCPUAdj, c.AccScale, c.AccBias = 1.75, 0.8125, 0.0625
 
 	sameBits(t, "parent after mutating its clone", predictAll(parent, ds.Samples), before)
+	sameBits(t, "sibling clone after mutating the refit clone", predictAll(sibling, ds.Samples), before)
 	if got := predictAll(c, ds.Samples); math.Float64bits(got[0]) == math.Float64bits(before[0]) {
 		t.Fatal("mutating the clone did not change its own predictions")
 	}

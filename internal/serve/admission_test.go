@@ -280,9 +280,10 @@ func TestPreemptBudgetRetires(t *testing.T) {
 	}
 }
 
-// StreamStates is documented safe to call at any time; under the race
-// detector this hammers it from another goroutine while rounds run,
-// proving the barrier-side snapshots keep it off worker-owned state.
+// StreamStates is documented safe to call at any time, and so is
+// Occupancies; under the race detector this hammers both from another
+// goroutine while rounds run, proving the barrier-side snapshots keep
+// them off worker-owned state.
 func TestStreamStatesConcurrentWithRounds(t *testing.T) {
 	s := setup(t)
 	srv, err := New(Options{Models: s.Models})
@@ -300,6 +301,7 @@ func TestStreamStatesConcurrentWithRounds(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		occ := map[int]float64{}
 		for {
 			select {
 			case <-done:
@@ -310,6 +312,7 @@ func TestStreamStatesConcurrentWithRounds(t *testing.T) {
 					_ = st.DegradeLevel
 					_ = st.Occ
 				}
+				srv.Occupancies(occ)
 			}
 		}
 	}()

@@ -158,6 +158,22 @@ func (s *Server) StreamStates() []StreamState {
 	return out
 }
 
+// Occupancies writes every live stream's measured occupancy (its
+// estimate while queued) into occ, keyed by stream id, in StreamStates
+// order: the one snapshot field a per-barrier caller needs, without
+// building the snapshot. Like StreamStates it is safe to call at any
+// time.
+func (s *Server) Occupancies(occ map[int]float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, st := range s.active {
+		occ[st.id] = st.occ
+	}
+	for _, st := range s.queue {
+		occ[st.id] = st.occ
+	}
+}
+
 // Detached is a live stream lifted off its board mid-run: pipeline,
 // clock, kernel and tracker state intact, resting at a GoF boundary.
 // Exactly one of Attach (on another board) or Retire consumes it.

@@ -246,10 +246,7 @@ func (s *Server) buildStreamWith(id int, cfg StreamConfig, warm *sched.Models, g
 		}
 		acfg.Registry = s.adaptReg
 		acfg.Gate = s.adaptGate
-		adapter, err = adapt.New(acfg, models)
-		if err != nil {
-			return nil, err
-		}
+		adapter = adapt.New(acfg, models)
 	}
 	p, err := core.NewPipeline(core.Options{
 		Models: models, SLO: cfg.SLO, Policy: cfg.Policy, Observer: so,

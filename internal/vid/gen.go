@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"litereconfig/internal/fastrand"
 	"litereconfig/internal/geom"
 )
 
@@ -136,7 +137,7 @@ func sampleIndependent(rng *rand.Rand) ContentProfile {
 // independent content profile (see sampleIndependent).
 func Generate(name string, seed int64, cfg GenConfig) *Video {
 	cfg.applyDefaults()
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(fastrand.New(seed))
 	return generateWith(name, seed, cfg, sampleIndependent(rng), rng)
 }
 
@@ -145,7 +146,7 @@ func Generate(name string, seed int64, cfg GenConfig) *Video {
 // independent mix for an unknown name.
 func GenerateArchetype(name, archetype string, seed int64, cfg GenConfig) *Video {
 	cfg.applyDefaults()
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(fastrand.New(seed))
 	for _, a := range Archetypes {
 		if a.Name == archetype {
 			return generateWith(name, seed, cfg, sampleProfile(a, rng), rng)
@@ -158,7 +159,7 @@ func GenerateArchetype(name, archetype string, seed int64, cfg GenConfig) *Video
 // used by tests and ablations that need controlled content.
 func GenerateWithProfile(name string, seed int64, cfg GenConfig, p ContentProfile) *Video {
 	cfg.applyDefaults()
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(fastrand.New(seed))
 	return generateWith(name, seed, cfg, p, rng)
 }
 
@@ -210,15 +211,27 @@ func generateWith(name string, seed int64, cfg GenConfig, p ContentProfile, rng 
 	}
 
 	v.Frames = make([]Frame, cfg.Frames)
+	// Frames share backing chunks of objects, each sized for the
+	// remaining frames at the current cast; a frame never spans two
+	// chunks, and its slice is capped at its own length, so appending to
+	// one frame's objects never writes into the next.
+	var objs []Object
 	for fi := 0; fi < cfg.Frames; fi++ {
+		if cap(objs)-len(objs) < len(actors) {
+			objs = make([]Object, 0, (cfg.Frames-fi)*len(actors))
+		}
 		frame := Frame{Index: fi}
+		start := len(objs)
 		for _, a := range actors {
 			stepActor(a, cfg, p, rng)
 			if a.occludedFor > 0 {
 				a.occludedFor--
 				continue
 			}
-			frame.Objects = append(frame.Objects, a.obj)
+			objs = append(objs, a.obj)
+		}
+		if len(objs) > start {
+			frame.Objects = objs[start:len(objs):len(objs)]
 		}
 		// Rare exit/entry churn keeps object identity non-trivial.
 		if rng.Float64() < 0.01 && len(actors) > 1 {

@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 
+	"litereconfig/internal/fastrand"
 	"litereconfig/internal/serve"
 	"litereconfig/internal/vid"
 )
@@ -218,7 +219,7 @@ func Generate(cfg Config) (*Schedule, error) {
 		return nil, fmt.Errorf("workload: tier shares sum to zero")
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(fastrand.New(cfg.Seed))
 	rate := func(tMS float64) float64 {
 		r := 0.0
 		for _, p := range cfg.Processes {
