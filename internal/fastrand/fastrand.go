@@ -2,8 +2,11 @@
 //
 // Invariant: for every int64 seed, rand.New(fastrand.New(seed)) yields
 // exactly the same stream of values as rand.New(rand.NewSource(seed)),
-// draw for draw and for every rand.Rand method. Swapping one for the
-// other never changes a simulated result, a trace or a golden file.
+// draw for draw and for every rand.Rand method. Source's own bulk
+// method keeps the same stream: NormFloat64s(dst) fills dst with the
+// values len(dst) NormFloat64 calls would return and leaves the source
+// where they would. Swapping one for the other never changes a
+// simulated result, a trace or a golden file.
 //
 // math/rand seeds its 607-word additive lagged Fibonacci register by
 // running the Lehmer generator x ← 48271·x mod (2³¹−1) for 1 841 steps.

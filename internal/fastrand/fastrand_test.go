@@ -163,3 +163,66 @@ func BenchmarkSeedAnd20Draws(b *testing.B) {
 		}
 	})
 }
+
+// TestNormFloat64sMatchesMathRand checks the bulk normal draw against
+// successive math/rand NormFloat64 calls on fresh sources, on used
+// sources reseeded (stale words behind a cleared ready map), and in
+// mid-stream, then checks that the stream continues identically.
+// Each n straddles a register wrap or fills several.
+func TestNormFloat64sMatchesMathRand(t *testing.T) {
+	used := New(99)
+	rand.New(used).Perm(700)
+	for _, seed := range identitySeeds {
+		for _, n := range []int{0, 1, 606, 607, 608, 1024, 1280, 3000} {
+			used.Seed(seed)
+			for _, c := range []struct {
+				name   string
+				src    *Source
+				before int // NormFloat64 draws made through rand.Rand first
+			}{
+				{"fresh", New(seed), 0},
+				{"reseeded", used, 0},
+				{"mid-stream", New(seed), 250},
+			} {
+				want := rand.New(rand.NewSource(seed))
+				got := rand.New(c.src)
+				for i := 0; i < c.before; i++ {
+					want.NormFloat64()
+					got.NormFloat64()
+				}
+				dst := make([]float64, n)
+				c.src.NormFloat64s(dst)
+				for i, g := range dst {
+					if w := want.NormFloat64(); math.Float64bits(w) != math.Float64bits(g) {
+						t.Fatalf("seed %d, n %d, %s: draw %d = %v, math/rand gives %v", seed, n, c.name, i, g, w)
+					}
+				}
+				if w, g := want.Int63(), got.Int63(); w != g {
+					t.Fatalf("seed %d, n %d, %s: Int63 after the bulk draw = %d, math/rand gives %d", seed, n, c.name, g, w)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkNormFloat64s times 1024 normal draws from a freshly seeded
+// source, the ResNet50 embedding's noise, in bulk and one by one.
+func BenchmarkNormFloat64s(b *testing.B) {
+	dst := make([]float64, 1024)
+	s := New(1)
+	b.Run("bulk", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s.Seed(int64(i))
+			s.NormFloat64s(dst)
+		}
+	})
+	b.Run("rand", func(b *testing.B) {
+		r := rand.New(s)
+		for i := 0; i < b.N; i++ {
+			s.Seed(int64(i))
+			for j := range dst {
+				dst[j] = r.NormFloat64()
+			}
+		}
+	})
+}

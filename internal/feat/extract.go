@@ -8,6 +8,7 @@ import (
 
 	"litereconfig/internal/fastrand"
 	"litereconfig/internal/raster"
+	"litereconfig/internal/vec"
 	"litereconfig/internal/vid"
 )
 
@@ -27,10 +28,13 @@ type Extractor struct {
 	projMobile [][]float64 // descriptorDim x 1280, shared, read-only
 
 	// The embeddings' working memory, reused across calls: the content
-	// descriptor and the per-frame noise stream, reseeded on every call.
+	// descriptor, its nonzero entries, the per-frame noise stream
+	// (reseeded on every call) and the noise drawn from it.
 	desc  []float64
+	nz    []int32
 	noise *fastrand.Source
 	rng   *rand.Rand
+	draws []float64
 }
 
 // descriptorDim is the size of the hidden content descriptor the simulated
@@ -170,29 +174,26 @@ func descriptor(d []float64, v *vid.Video, f vid.Frame) []float64 {
 	return d
 }
 
-// embed projects the content descriptor through the seeded weight matrix,
+// embed projects the content descriptor through the seeded weight matrix
+// (vec.Accumulate: rows in ascending order, zero entries skipped),
 // applies tanh, and adds small deterministic per-frame noise, simulating
 // a pooled CNN embedding. The result is written into out.
 func (e *Extractor) embed(out []float64, v *vid.Video, f vid.Frame, proj [][]float64, salt int64) []float64 {
 	e.desc = descriptor(e.desc, v, f)
-	if n := len(proj[0]); cap(out) < n {
+	n := len(proj[0])
+	if cap(out) < n {
 		out = make([]float64, n)
-	} else {
-		out = out[:n]
-		clear(out)
 	}
-	for i, di := range e.desc {
-		if di == 0 {
-			continue
-		}
-		row := proj[i]
-		for j := range out {
-			out[j] += di * row[j]
-		}
+	out = out[:n]
+	e.nz = vec.Accumulate(out, e.desc, proj, e.nz)
+	if cap(e.draws) < n {
+		e.draws = make([]float64, n)
 	}
+	draws := e.draws[:n]
 	e.noise.Seed(v.Seed*1000003 + int64(f.Index)*31 + salt)
+	e.noise.NormFloat64s(draws)
 	for j := range out {
-		out[j] = math.Tanh(out[j]) + e.rng.NormFloat64()*0.02
+		out[j] = math.Tanh(out[j]) + draws[j]*0.02
 	}
 	return out
 }

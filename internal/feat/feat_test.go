@@ -325,3 +325,19 @@ func BenchmarkHoC(b *testing.B) {
 		HoCVector(im)
 	}
 }
+
+// BenchmarkEmbed times one simulated embedding per kind through a
+// reused extractor and output buffer, as the scheduler's heavy-feature
+// path calls it: the projection, the tanh and the noise draws.
+func BenchmarkEmbed(b *testing.B) {
+	v := testVideo(5)
+	for _, k := range []Kind{ResNet50, MobileNetV2} {
+		b.Run(k.String(), func(b *testing.B) {
+			e := NewExtractor(1)
+			var dst []float64
+			for i := 0; i < b.N; i++ {
+				dst = e.ExtractInto(dst, k, v, v.Frames[i%len(v.Frames)])
+			}
+		})
+	}
+}

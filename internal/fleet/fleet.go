@@ -297,6 +297,9 @@ type Fleet struct {
 	// risk holds each branch's risk-aware placement terms at
 	// Options.RiskQuantile; nil under mean placement.
 	risk []branchRisk
+	// scrLight and scrAcc are profile's scratch: a stream's light
+	// vector and its per-branch accuracy row.
+	scrLight, scrAcc []float64
 
 	mu         sync.Mutex
 	nextID     int

@@ -120,9 +120,13 @@ func newBranchRisk(quantile, logStd float64) branchRisk {
 // stream's first frame. Those features are fixed for the stream's life
 // and the fleet's scoring models never change during a run, so the
 // profile serves every later placement, migration and restore score.
+// The light vector and the accuracy row live in fleet-owned scratch, so
+// the profile itself is the one allocation; both callers (Submit before
+// Run, the barrier's intake during it) hold the fleet mutex.
 func (f *Fleet) profile(cfg serve.StreamConfig) []branchEst {
-	light := feat.LightVector(cfg.Video, cfg.Video.Frames[0])
-	accs := f.models.PredictAccuracyLight(light)
+	f.scrLight = feat.LightVectorInto(f.scrLight, cfg.Video, cfg.Video.Frames[0])
+	f.scrAcc = f.models.PredictAccuracyLightInto(f.scrAcc, f.scrLight)
+	light, accs := f.scrLight, f.scrAcc
 	prof := make([]branchEst, len(f.models.Branches))
 	for bi := range prof {
 		det, trk := f.models.PredictLatency(bi, light)

@@ -50,6 +50,29 @@ func TestScoreBoardsZeroAllocs(t *testing.T) {
 	}
 }
 
+// Profiling an arrival allocates only its branch profile: the light
+// vector and the accuracy row come from fleet-owned scratch. Every
+// arrival is profiled on the serial barrier.
+func TestProfileAllocsOnlyItsBranches(t *testing.T) {
+	s := setup(t)
+	f, err := New(Options{Models: s.Models, Boards: []BoardConfig{{Name: "b0"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := serve.StreamConfig{Video: video(903, 12), SLO: 50}
+	want := f.profile(cfg)
+	var prof []branchEst
+	allocs := testutil.AllocsPerRun(t, 300, func() { prof = f.profile(cfg) })
+	if allocs != 1 {
+		t.Fatalf("profiling one stream allocated %d times per run, want 1 (its []branchEst)", allocs)
+	}
+	for bi := range want {
+		if prof[bi] != want[bi] {
+			t.Fatalf("branch %d: profile from warm scratch %+v, first profile %+v", bi, prof[bi], want[bi])
+		}
+	}
+}
+
 // fullScanBoard is scoreBoard without the tail shortcuts: the plain
 // scan that prices every feasible branch with math.Log and
 // glm.AttainProb. It is the reference the shortcuts must match bit for

@@ -30,6 +30,11 @@ type Engine struct {
 	forced      feat.Kind
 	hasOverride bool
 
+	// riskF is the per-branch quantile inflation table of a positive
+	// Config.RiskQuantile override: the models are read-only here, so
+	// it is the same for every decision.
+	riskF []float64
+
 	// Per-worker scratch, reused across Replay calls.
 	workers []*chainWorker
 }
@@ -44,6 +49,9 @@ type chainWorker struct {
 	// switchRows memoizes the offline C(b0, ·) rows, indexed by the
 	// current branch b0 and filled on first use.
 	switchRows [][]float64
+	// failP holds the per-branch tracker-failure probabilities of the
+	// Config.RiskQuantile override for the current decision.
+	failP []float64
 }
 
 // switchRow returns the offline switch-cost row C(cur, ·).
@@ -84,6 +92,13 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.RiskQuantile != nil && (*cfg.RiskQuantile < 0 || *cfg.RiskQuantile >= 1) {
 		return nil, fmt.Errorf("replay: RiskQuantile override must be in [0, 1), got %v", *cfg.RiskQuantile)
+	}
+	if cfg.RiskQuantile != nil && *cfg.RiskQuantile > 0 {
+		z := glm.NormalQuantile(*cfg.RiskQuantile)
+		e.riskF = make([]float64, len(cfg.Models.Branches))
+		for bi := range e.riskF {
+			e.riskF[bi] = cfg.Models.QuantileFactor(bi, z)
+		}
 	}
 	return e, nil
 }
@@ -505,14 +520,12 @@ func (e *Engine) redecide(w *chainWorker, path string, d *obs.Decision, curIdx, 
 			}
 			in.RiskF, in.FailP = rp.RiskFactor, rp.FailProb
 		}
-	} else if q := *e.cfg.RiskQuantile; q > 0 {
-		z := glm.NormalQuantile(q)
-		in.RiskF = make([]float64, n)
-		in.FailP = make([]float64, n)
-		for bi := 0; bi < n; bi++ {
-			in.RiskF[bi] = m.QuantileFactor(bi, z)
-			in.FailP[bi] = m.PredictFailProb(bi, rp.Light)
+	} else if e.riskF != nil {
+		w.failP = slices.Grow(w.failP[:0], n)[:n]
+		for bi := range w.failP {
+			w.failP[bi] = m.PredictFailProb(bi, rp.Light)
 		}
+		in.RiskF, in.FailP = e.riskF, w.failP
 	}
 
 	// Step 4: constrained optimization (Eq. 3).

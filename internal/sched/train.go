@@ -13,6 +13,7 @@ import (
 	"litereconfig/internal/mbek"
 	"litereconfig/internal/nn"
 	"litereconfig/internal/par"
+	"litereconfig/internal/vec"
 )
 
 // Models bundles everything the online scheduler loads: the branch space,
@@ -630,77 +631,8 @@ func (m *Models) sketchApplyInto(k feat.Kind, heavy []float64) []float64 {
 		m.scrSketch = make([]float64, len(proj[0]))
 	}
 	m.scrSketch = m.scrSketch[:len(proj[0])]
-	m.scrNZ = sketchProject(m.scrSketch, z, proj, m.scrNZ)
+	m.scrNZ = vec.Accumulate(m.scrSketch, z, proj, m.scrNZ)
 	return m.scrSketch
-}
-
-// sketchProject sets out[j] to the sum over ascending rows i of
-// z[i]·proj[i][j], accumulated from +0 and skipping rows whose z[i] is
-// zero (0·r is not always a no-op: 0·Inf is NaN). nz is reusable scratch
-// for the nonzero row indices; sketchProject returns it.
-//
-// The projection is the scheduler's hottest loop, so it is register
-// blocked: four rows at a time fold into four outputs held in
-// registers, which cuts the loads and stores of out by four. Each out[j]
-// still receives the same additions in the same order as the plain
-// loop, and every product and sum is rounded to float64 on its own, so
-// the result is bit-identical.
-func sketchProject(out, z []float64, proj [][]float64, nz []int32) []int32 {
-	nz = nz[:0]
-	for i, zi := range z {
-		if zi != 0 {
-			nz = append(nz, int32(i))
-		}
-	}
-	clear(out)
-	w := len(out)
-	p := 0
-	for ; p+4 <= len(nz); p += 4 {
-		i0, i1, i2, i3 := nz[p], nz[p+1], nz[p+2], nz[p+3]
-		z0, z1, z2, z3 := z[i0], z[i1], z[i2], z[i3]
-		r0, r1, r2, r3 := proj[i0][:w], proj[i1][:w], proj[i2][:w], proj[i3][:w]
-		j := 0
-		for ; j+4 <= w; j += 4 {
-			o := out[j : j+4 : j+4]
-			a := r0[j : j+4 : j+4]
-			b := r1[j : j+4 : j+4]
-			c := r2[j : j+4 : j+4]
-			d := r3[j : j+4 : j+4]
-			o0, o1, o2, o3 := o[0], o[1], o[2], o[3]
-			o0 += z0 * a[0]
-			o1 += z0 * a[1]
-			o2 += z0 * a[2]
-			o3 += z0 * a[3]
-			o0 += z1 * b[0]
-			o1 += z1 * b[1]
-			o2 += z1 * b[2]
-			o3 += z1 * b[3]
-			o0 += z2 * c[0]
-			o1 += z2 * c[1]
-			o2 += z2 * c[2]
-			o3 += z2 * c[3]
-			o0 += z3 * d[0]
-			o1 += z3 * d[1]
-			o2 += z3 * d[2]
-			o3 += z3 * d[3]
-			o[0], o[1], o[2], o[3] = o0, o1, o2, o3
-		}
-		for ; j < w; j++ {
-			o := out[j]
-			o += z0 * r0[j]
-			o += z1 * r1[j]
-			o += z2 * r2[j]
-			o += z3 * r3[j]
-			out[j] = o
-		}
-	}
-	for ; p < len(nz); p++ {
-		zi, row := z[nz[p]], proj[nz[p]][:w]
-		for j := range out {
-			out[j] += zi * row[j]
-		}
-	}
-	return nz
 }
 
 // BenTable is the offline-computed benefit lookup of Sec. 3.4: the
