@@ -80,7 +80,7 @@ type FleetConfig struct {
 	AdaptStagger bool
 	// ReplayTrace enriches every board's recorded decisions with the
 	// scheduler input payload for offline counterfactual replay
-	// (lrreplay / internal replay engine). Requires Observer; off by
+	// (lr replay / internal replay engine). Requires Observer; off by
 	// default.
 	ReplayTrace bool
 }
@@ -264,7 +264,7 @@ func (r *FleetReport) WriteFleetTrace(w io.Writer) error { return r.r.WriteFleet
 func (r *FleetReport) WriteTrace(w io.Writer) error { return r.r.WriteTrace(w) }
 
 // ParseBoardFaultSpecs parses the board-scoped fault grammar used by
-// lrfleet's -faults flag: semicolon-separated entries, each either a
+// lr fleet's -faults flag: semicolon-separated entries, each either a
 // bare ParseFaultSpec spec (the fleet-wide default, keyed "*") or
 // "<board>:<spec>" scoping a schedule to one named board. Example:
 //

@@ -11,7 +11,7 @@ import (
 )
 
 // runScenario drives one open-loop workload run: a fresh schedule from
-// the named scenario, one tx2 board (the lrload default), WFQ with tier
+// the named scenario, one tx2 board (the lr load default), WFQ with tier
 // preemption or the FIFO ablation.
 func runScenario(t *testing.T, scenario string, seed int64, wfq bool,
 	queueLimit int, observer *obs.Observer) (*Report, []workload.Tier) {

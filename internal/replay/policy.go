@@ -26,7 +26,7 @@ const (
 	DegradeSim
 )
 
-// ParseDegrade maps the lrreplay -degrade token to a knob.
+// ParseDegrade maps the lr replay -degrade token to a knob.
 func ParseDegrade(s string) (DegradeKnob, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "recorded":

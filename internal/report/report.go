@@ -7,7 +7,7 @@
 // DESIGN.md §5.
 //
 // Run executes the named experiments and returns their typed rows;
-// Results.Write renders them as paper-style text tables. cmd/lrbench
+// Results.Write renders them as paper-style text tables. lr paper
 // prints that rendering, and testdata/paper_small.golden pins it for
 // the small fixture.
 package report

@@ -39,10 +39,10 @@ func results(t *testing.T) *Results {
 }
 
 // TestPaperSmallGolden pins every reported cell: the rendering must match
-// `go run ./cmd/lrbench -exp all -scale small` as committed. After an
+// `go run ./cmd/lr paper -exp all -scale small` as committed. After an
 // intended change, regenerate with
 //
-//	go run ./cmd/lrbench -exp all -scale small > internal/report/testdata/paper_small.golden
+//	go run ./cmd/lr paper -exp all -scale small > internal/report/testdata/paper_small.golden
 func TestPaperSmallGolden(t *testing.T) {
 	var got bytes.Buffer
 	if err := results(t).Write(&got); err != nil {

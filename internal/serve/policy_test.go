@@ -1,10 +1,9 @@
-package main
+package serve
 
 import (
 	"testing"
 
 	"litereconfig/internal/core"
-	"litereconfig/internal/serve"
 )
 
 func TestParsePolicy(t *testing.T) {
@@ -20,27 +19,14 @@ func TestParsePolicy(t *testing.T) {
 		"mobilenet":            core.PolicyMaxContentMobileNet,
 	}
 	for in, want := range cases {
-		got, err := serve.ParsePolicy(in)
+		got, err := ParsePolicy(in)
 		if err != nil || got != want {
-			t.Errorf("serve.ParsePolicy(%q) = %v, %v; want %v", in, got, err, want)
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
 	for _, bad := range []string{"selsa", "force-hog"} {
-		if _, err := serve.ParsePolicy(bad); err == nil {
-			t.Errorf("serve.ParsePolicy(%q) accepted", bad)
+		if _, err := ParsePolicy(bad); err == nil {
+			t.Errorf("ParsePolicy(%q) accepted", bad)
 		}
-	}
-}
-
-func TestParseFloats(t *testing.T) {
-	got, err := parseFloats("33.3, 50,90")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 33.3 || got[1] != 50 || got[2] != 90 {
-		t.Fatalf("parseFloats = %v", got)
-	}
-	if _, err := parseFloats("33,abc"); err == nil {
-		t.Error("bad float should error")
 	}
 }

@@ -3,7 +3,10 @@
 package testutil
 
 import (
+	"bytes"
 	"runtime"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -16,12 +19,16 @@ type TB interface {
 	Skip(args ...any)
 }
 
-// CheckGoroutines snapshots the current goroutine count and registers a
-// cleanup that fails the test if the count has not returned to the
-// baseline by the end of it. Worker pools exit inside Drain/Kill (task
-// channel closed, WaitGroup awaited), so a well-behaved test ends at
-// its starting count; the check allows the runtime a few scheduling
-// beats to retire exiting stacks before declaring a leak.
+// CheckGoroutines records the IDs of the goroutines alive now and
+// registers a cleanup that fails the test if any goroutine started
+// since is still alive at the end of it. Worker pools exit inside
+// Drain/Kill (task channel closed, WaitGroup awaited), so a
+// well-behaved test leaves no new goroutine behind; the check allows
+// the runtime a few scheduling beats to retire exiting stacks before
+// declaring a leak.
+//
+// Identities, not counts, are compared: a goroutine of an earlier test
+// that exits during this one cannot hide a goroutine this one leaked.
 //
 // Call it first in the test, before anything that spawns goroutines:
 //
@@ -31,14 +38,64 @@ type TB interface {
 //	}
 func CheckGoroutines(t TB) {
 	t.Helper()
-	before := runtime.NumGoroutine()
+	before := map[uint64]bool{}
+	for _, g := range goroutines() {
+		before[g.id] = true
+	}
 	t.Cleanup(func() {
+		var leaked []goroutine
 		for i := 0; i < 50; i++ {
-			if runtime.NumGoroutine() <= before {
+			leaked = leaked[:0]
+			for _, g := range goroutines() {
+				if !before[g.id] {
+					leaked = append(leaked, g)
+				}
+			}
+			if len(leaked) == 0 {
 				return
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
-		t.Errorf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+		var stacks []string
+		for _, g := range leaked {
+			stacks = append(stacks, g.stack)
+		}
+		t.Errorf("%d goroutines leaked:\n%s", len(leaked), strings.Join(stacks, "\n\n"))
 	})
+}
+
+// goroutine is one entry of an all-goroutine stack dump.
+type goroutine struct {
+	id    uint64
+	stack string
+}
+
+// goroutines parses runtime.Stack's dump of every goroutine. Each
+// entry starts with a "goroutine <id> [<state>]:" header line and
+// entries are separated by a blank line.
+func goroutines() []goroutine {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	var out []goroutine
+	for _, entry := range bytes.Split(buf, []byte("\n\n")) {
+		header, _, _ := bytes.Cut(entry, []byte("\n"))
+		rest, ok := bytes.CutPrefix(header, []byte("goroutine "))
+		if !ok {
+			continue
+		}
+		idText, _, _ := bytes.Cut(rest, []byte(" "))
+		id, err := strconv.ParseUint(string(idText), 10, 64)
+		if err != nil {
+			continue
+		}
+		out = append(out, goroutine{id: id, stack: string(entry)})
+	}
+	return out
 }

@@ -274,7 +274,7 @@ type Config struct {
 	// challenger rollout (see AdaptConfig). Nil means frozen models.
 	Adapt *AdaptConfig
 	// ReplayTrace enriches every recorded decision with the scheduler's
-	// full input set for offline counterfactual replay (the lrreplay
+	// full input set for offline counterfactual replay (the lr replay
 	// tool / internal replay engine). Requires Observer; off by default
 	// — with the flag off, traces are byte-identical to older builds.
 	ReplayTrace bool

@@ -52,7 +52,7 @@ type ServerConfig struct {
 	// models.
 	Adapt *AdaptConfig
 	// ReplayTrace enriches every recorded decision with the scheduler's
-	// full input set for offline counterfactual replay (lrreplay /
+	// full input set for offline counterfactual replay (lr replay /
 	// internal replay engine). Requires Observer; off by default.
 	ReplayTrace bool
 }
