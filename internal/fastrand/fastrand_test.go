@@ -205,8 +205,56 @@ func TestNormFloat64sMatchesMathRand(t *testing.T) {
 	}
 }
 
+// TestScalarDrawsMatchMathRand checks NormFloat64 and Float64 against
+// math/rand's methods on fresh, reseeded and mid-stream sources, over
+// a random interleaving with Int63 long enough to take the ziggurat's
+// tail and wedge paths many times and to wrap the register, then
+// checks that the stream continues identically.
+func TestScalarDrawsMatchMathRand(t *testing.T) {
+	used := New(99)
+	rand.New(used).Perm(700)
+	pick := rand.New(rand.NewSource(4))
+	for _, seed := range identitySeeds {
+		used.Seed(seed)
+		for _, c := range []struct {
+			name   string
+			src    *Source
+			before int // NormFloat64 draws made through rand.Rand first
+		}{
+			{"fresh", New(seed), 0},
+			{"reseeded", used, 0},
+			{"mid-stream", New(seed), 250},
+		} {
+			want := rand.New(rand.NewSource(seed))
+			got := rand.New(c.src)
+			for i := 0; i < c.before; i++ {
+				want.NormFloat64()
+				got.NormFloat64()
+			}
+			for i := 0; i < 3000; i++ {
+				var w, g float64
+				switch op := pick.Intn(4); op {
+				case 0, 1:
+					w, g = want.NormFloat64(), c.src.NormFloat64()
+				case 2:
+					w, g = want.Float64(), c.src.Float64()
+				default:
+					w, g = float64(want.Int63()), float64(c.src.Int63())
+				}
+				if math.Float64bits(w) != math.Float64bits(g) {
+					t.Fatalf("seed %d, %s: draw %d = %v, math/rand gives %v", seed, c.name, i, g, w)
+				}
+			}
+			if w, g := want.Int63(), got.Int63(); w != g {
+				t.Fatalf("seed %d, %s: Int63 after the draws = %d, math/rand gives %d", seed, c.name, g, w)
+			}
+		}
+	}
+}
+
 // BenchmarkNormFloat64s times 1024 normal draws from a freshly seeded
-// source, the ResNet50 embedding's noise, in bulk and one by one.
+// source, the ResNet50 embedding's noise, in bulk and one by one, both
+// directly and through rand.Rand.
 func BenchmarkNormFloat64s(b *testing.B) {
 	dst := make([]float64, 1024)
 	s := New(1)
@@ -214,6 +262,14 @@ func BenchmarkNormFloat64s(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.Seed(int64(i))
 			s.NormFloat64s(dst)
+		}
+	})
+	b.Run("scalar", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s.Seed(int64(i))
+			for j := range dst {
+				dst[j] = s.NormFloat64()
+			}
 		}
 	})
 	b.Run("rand", func(b *testing.B) {

@@ -4,9 +4,9 @@
 
 // The ziggurat tables, rn and absInt32 below are copied verbatim from
 // the Go standard library's math/rand/normal.go (Go 1.24), and
-// NormFloat64s with normalTail steps through math/rand's NormFloat64
-// draw for draw. Keeping both identical is what makes NormFloat64s
-// equal math/rand's NormFloat64.
+// NormFloat64 and NormFloat64s, with normalTail, step through
+// math/rand's NormFloat64 draw for draw. Keeping both identical is what
+// makes them equal math/rand's NormFloat64.
 
 package fastrand
 
@@ -21,7 +21,7 @@ const rn = 3.442619855899
 // It first computes every register word that no draw has read since
 // the last Seed, and then steps the register directly: no interface
 // call and no ready-bit check per draw. That suits bulk draws; a few
-// draws are cheaper through rand.New(s).
+// draws are cheaper through NormFloat64.
 func (s *Source) NormFloat64s(dst []float64) {
 	if len(dst) == 0 {
 		return
@@ -62,6 +62,37 @@ func (s *Source) NormFloat64s(dst []float64) {
 	s.tap, s.feed = tap, feed
 }
 
+// NormFloat64 returns the value rand.New(s).NormFloat64() would, and
+// leaves s where that call would: the same draws, stepped directly
+// rather than through rand.Rand and the rand.Source interface, with
+// register words computed as they are first read.
+func (s *Source) NormFloat64() float64 {
+	for {
+		// math/rand: j := int32(r.Uint32()), with
+		// Uint32() = uint32(Int63() >> 31).
+		j := int32(uint32(s.Int63() >> 31))
+		i := j & 0x7F
+		x := float64(j) * float64(wn[i])
+		if absInt32(j) < kn[i] {
+			return x
+		}
+		if v, ok := s.normalTail(j, i, x); ok {
+			return v
+		}
+	}
+}
+
+// Float64 returns the value rand.New(s).Float64() would, and leaves s
+// where that call would.
+func (s *Source) Float64() float64 {
+again:
+	f := float64(s.Int63()) / (1 << 63)
+	if f == 1 {
+		goto again
+	}
+	return f
+}
+
 // normalTail finishes a NormFloat64 draw whose first word j fell
 // outside the ziggurat's rectangle i (under 1% of draws): the base
 // strip's tail or a wedge test, drawing further words as math/rand
@@ -69,8 +100,8 @@ func (s *Source) NormFloat64s(dst []float64) {
 func (s *Source) normalTail(j, i int32, x float64) (v float64, ok bool) {
 	if i == 0 {
 		for {
-			x = -math.Log(s.float64Ready()) * (1.0 / rn)
-			y := -math.Log(s.float64Ready())
+			x = -math.Log(s.Float64()) * (1.0 / rn)
+			y := -math.Log(s.Float64())
 			if y+y >= x*x {
 				break
 			}
@@ -80,35 +111,10 @@ func (s *Source) normalTail(j, i int32, x float64) (v float64, ok bool) {
 		}
 		return -rn - x, true
 	}
-	if fn[i]+float32(s.float64Ready())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
+	if fn[i]+float32(s.Float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
 		return x, true
 	}
 	return 0, false
-}
-
-// float64Ready is math/rand's Float64 on a fully computed register.
-func (s *Source) float64Ready() float64 {
-again:
-	f := float64(s.int63Ready()) / (1 << 63)
-	if f == 1 {
-		goto again
-	}
-	return f
-}
-
-// int63Ready is Int63 on a fully computed register.
-func (s *Source) int63Ready() int64 {
-	s.tap--
-	if s.tap < 0 {
-		s.tap += rngLen
-	}
-	s.feed--
-	if s.feed < 0 {
-		s.feed += rngLen
-	}
-	x := s.vec[s.feed] + s.vec[s.tap]
-	s.vec[s.feed] = x
-	return x & rngMask
 }
 
 // materialize computes every register word no draw has read since the

@@ -185,6 +185,7 @@ func (e *Extractor) embed(out []float64, v *vid.Video, f vid.Frame, proj [][]flo
 		out = make([]float64, n)
 	}
 	out = out[:n]
+	clear(out)
 	e.nz = vec.Accumulate(out, e.desc, proj, e.nz)
 	if cap(e.draws) < n {
 		e.draws = make([]float64, n)

@@ -37,7 +37,7 @@ func TestStepAllocsCeiling(t *testing.T) {
 	}{
 		{name: "plain", contention: 0.1, ceiling: 19},
 		{name: "faults", contention: 0.1, faults: true, ceiling: 19},
-		{name: "adapt", contention: 0.1, adapt: true, ceiling: 28},
+		{name: "adapt", contention: 0.1, adapt: true, ceiling: 23},
 		{name: "risk0.95", contention: 0.3, riskQ: 0.95, ceiling: 12},
 	} {
 		t.Run(c.name, func(t *testing.T) {

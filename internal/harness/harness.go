@@ -191,6 +191,9 @@ type Stepper struct {
 	ofb           OutcomeFeedback
 	sfb           SwitchFeedback
 	gofFrameStart int
+	// scorer keeps the mAP scratch across the per-GoF scoring of an
+	// adaptive stream and the stream-end score (MAP).
+	scorer metric.Scorer
 	// detBase0/trkBase0 snapshot the kernel's cumulative base-cost
 	// counters at the open GoF's start; flush diffs them for the
 	// outcome's exact base-unit GoF cost.
@@ -265,7 +268,7 @@ func (s *Stepper) flush() {
 		if s.ofb != nil && s.ofb.AdaptActive() {
 			o := GoFOutcome{Frames: s.gofFrames, AvgMS: avg}
 			if gof := s.res.Frames[s.gofFrameStart:]; len(gof) > 0 {
-				o.MeanAP = metric.MeanAP(gof, metric.DefaultIoU)
+				o.MeanAP = s.scorer.MeanAP(gof, metric.DefaultIoU)
 				o.HasAcc = true
 			}
 			det, trk := s.k.BaseCostTotals()
@@ -361,6 +364,11 @@ func (s *Stepper) Step() bool {
 
 // Frames returns the number of frames processed so far.
 func (s *Stepper) Frames() int { return s.globalFrame }
+
+// MAP returns the result's mean average precision over the frames
+// processed so far, as Result.MAP does, scored with the stepper's
+// reusable scratch.
+func (s *Stepper) MAP() float64 { return s.scorer.MeanAP(s.res.Frames, metric.DefaultIoU) }
 
 // GoFs returns the number of completed Group-of-Frames windows so far.
 // GoF boundaries are the checkpoint consistency points: recovery

@@ -92,14 +92,6 @@ func (s *Server) Panics() int {
 	return s.panicsTotal
 }
 
-// QuarantinedStreams returns how many streams this board retired to
-// quarantine.
-func (s *Server) QuarantinedStreams() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.quarantined
-}
-
 // StreamState is a between-rounds snapshot of one live (active or
 // queued) stream, exposed for fleet placement and migration decisions.
 type StreamState struct {

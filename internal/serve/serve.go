@@ -238,7 +238,6 @@ type Server struct {
 	preemptRet  int            // streams retired by exhausted preemption budget
 	rounds      int            // board rounds run so far
 	panicsTotal int            // recovered worker panics, all streams
-	quarantined int            // streams retired to quarantine
 	draining    bool
 	report      *Result
 
@@ -603,7 +602,6 @@ func (s *Server) runRound() bool {
 func (s *Server) quarantineLocked(st *stream, reason string) {
 	st.health = HealthQuarantined
 	st.quarReason = reason
-	s.quarantined++
 	s.met.quarantines.Inc()
 	st.retireLocked()
 }

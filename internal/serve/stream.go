@@ -406,7 +406,7 @@ func (st *stream) run(roundMS float64) {
 			st.finishedRun = true
 			// Step adds no frame result once it reports false, so this is
 			// the mAP the report row needs.
-			st.finalMAP, st.hasFinalMAP = st.res.MAP(), true
+			st.finalMAP, st.hasFinalMAP = st.stepper.MAP(), true
 			break
 		}
 	}

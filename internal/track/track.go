@@ -14,7 +14,6 @@ package track
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 
 	"litereconfig/internal/fastrand"
@@ -141,7 +140,9 @@ type tracked struct {
 type Tracker struct {
 	kind Kind
 	ds   int
-	rng  *rand.Rand
+	// rng draws through Source's own NormFloat64 and Float64, which
+	// give rand.New(rng)'s values without the interface calls.
+	rng  *fastrand.Source
 	objs []tracked
 
 	// Init's scratch, kept so re-initializing allocates nothing: the
@@ -153,7 +154,7 @@ type Tracker struct {
 // New creates a tracker of the given kind and downsampling ratio. The
 // seed fixes the stochastic drift/failure realization.
 func New(kind Kind, ds int, seed int64) *Tracker {
-	t := &Tracker{rng: rand.New(fastrand.New(seed))}
+	t := &Tracker{rng: fastrand.New(seed)}
 	t.Reset(kind, ds, seed)
 	return t
 }

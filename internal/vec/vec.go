@@ -1,5 +1,5 @@
 // Package vec holds exact vector kernels for the scheduler's
-// heavy-feature path.
+// heavy-feature path and its networks' inference.
 //
 // Invariant: every kernel returns bit for bit what its plain scalar
 // loop returns, on every CPU. A faster path may reorder memory traffic
@@ -7,10 +7,9 @@
 // operations in the same order, each rounded to float64 on its own.
 package vec
 
-// Accumulate sets out[j] to Σ c[i]·rows[i][j] over ascending i with
-// c[i] ≠ 0, accumulated from +0: the plain loop
+// Accumulate adds Σ c[i]·rows[i][j] over ascending i with c[i] ≠ 0
+// into out[j]: the plain loop
 //
-//	clear(out)
 //	for i, ci := range c {
 //		if ci != 0 {
 //			for j := range out {
@@ -19,24 +18,46 @@ package vec
 //		}
 //	}
 //
-// with every product and every sum rounded separately. Rows whose
-// coefficient is zero are skipped rather than multiplied, because 0·r
-// is not a no-op when r is infinite (0·Inf is NaN). Each row read must
-// hold at least len(out) values; rows[i] is not read when c[i] is zero.
-// nz is reusable scratch for the nonzero row indices; Accumulate
-// returns it.
+// with every product and every sum rounded separately. out's values are
+// the starting sums, so a caller that wants the bare sum clears out
+// first and one that wants a bias copies it in. Rows whose coefficient
+// is zero are skipped rather than multiplied, because 0·r is not a
+// no-op when r is infinite (0·Inf is NaN). Each row read must hold at
+// least len(out) values; rows[i] is not read when c[i] is zero. nz is
+// reusable scratch for the nonzero row indices; Accumulate returns it.
 //
 // On amd64 CPUs with AVX (and the OS saving YMM state), the sum runs in
 // assembly with one output per vector lane; everywhere else it runs in
 // the register-blocked Go kernel. Both give the plain loop's bits.
 func Accumulate(out, c []float64, rows [][]float64, nz []int32) []int32 {
 	nz = nonzeroRows(nz, c, rows, len(out))
+	accumulate(out, c, rows, nz)
+	return nz
+}
+
+// AccumulateRows is Accumulate over the rows idx names, in idx's order,
+// zero coefficients included: out[j] += c[i]·rows[i][j] for each i in
+// idx. A caller whose zero coefficients must still be multiplied (a
+// row may hold an infinity, or a sum may be −0) passes every index.
+// Each named row must hold at least len(out) values.
+func AccumulateRows(out, c []float64, rows [][]float64, idx []int32) {
+	w := len(out)
+	for _, i := range idx {
+		_ = c[i]
+		if len(rows[i]) < w {
+			panic("vec: row shorter than the output")
+		}
+	}
+	accumulate(out, c, rows, idx)
+}
+
+// accumulate runs the kernel package init picked on checked indices.
+func accumulate(out, c []float64, rows [][]float64, nz []int32) {
 	if useAVX {
 		accumulateAVX(out, c, rows, nz)
 	} else {
 		accumulateGo(out, c, rows, nz)
 	}
-	return nz
 }
 
 // nonzeroRows returns the indices of c's nonzero entries in ascending
@@ -62,7 +83,6 @@ func nonzeroRows(nz []int32, c []float64, rows [][]float64, w int) []int32 {
 // float64 conversions forbid fusing a product into its sum, so the
 // result is bit-identical on every architecture.
 func accumulateGo(out, c []float64, rows [][]float64, nz []int32) {
-	clear(out)
 	w := len(out)
 	p := 0
 	for ; p+4 <= len(nz); p += 4 {

@@ -20,8 +20,9 @@ func hasAVX() bool {
 }
 
 // accumulateAVX is accumulateGo in AVX assembly: sixteen outputs at a
-// time sit in four YMM registers, one output per lane, while the nonzero
-// rows stream past in ascending order; then four at a time, then one.
+// time are loaded into four YMM registers, one output per lane, while
+// the rows nz names stream past in nz order, and are stored back; then
+// four at a time, then one.
 // Every lane multiplies (VMULPD) and then adds (VADDPD), each rounded on
 // its own; there is no fused multiply-add.
 //

@@ -2,6 +2,9 @@
 
 // func accumulateAVX(out, c []float64, rows [][]float64, nz []int32)
 //
+// Each block of outputs is loaded from out, takes the rows' products in
+// nz order and is stored back: out[j] += c[i]·rows[i][j] for i in nz.
+//
 // Register use: DI out, CX len(out), SI c, DX rows (24-byte slice
 // headers), R8 nz, R9 len(nz), BX the first output column of the
 // current block, R10 the position in nz, R11 the row index i (then 3i),
@@ -21,11 +24,11 @@ block16:
 	SUBQ BX, AX
 	CMPQ AX, $16
 	JLT  block4
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	XORQ   R10, R10
+	VMOVUPD (DI)(BX*8), Y0
+	VMOVUPD 32(DI)(BX*8), Y1
+	VMOVUPD 64(DI)(BX*8), Y2
+	VMOVUPD 96(DI)(BX*8), Y3
+	XORQ    R10, R10
 
 row16:
 	CMPQ         R10, R9
@@ -55,12 +58,12 @@ store16:
 	JMP     block16
 
 block4:
-	MOVQ   CX, AX
-	SUBQ   BX, AX
-	CMPQ   AX, $4
-	JLT    block1
-	VXORPD Y0, Y0, Y0
-	XORQ   R10, R10
+	MOVQ    CX, AX
+	SUBQ    BX, AX
+	CMPQ    AX, $4
+	JLT     block1
+	VMOVUPD (DI)(BX*8), Y0
+	XORQ    R10, R10
 
 row4:
 	CMPQ         R10, R9
@@ -82,7 +85,7 @@ store4:
 block1:
 	CMPQ   BX, CX
 	JGE    done
-	VXORPD X0, X0, X0
+	VMOVSD (DI)(BX*8), X0
 	XORQ   R10, R10
 
 row1:
