@@ -3,6 +3,7 @@ package sched
 import (
 	"bytes"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -694,6 +695,72 @@ func TestRiskModelsGobRoundTrip(t *testing.T) {
 		det, trk := m3.PredictLatency(bi, light)
 		if got, want := m3.PredictQuantile(bi, light, 0.95), det+trk; got != want {
 			t.Fatalf("branch %d: degraded PredictQuantile %v != point estimate %v", bi, got, want)
+		}
+	}
+}
+
+// TestLoadMalformedModels feeds Load bundles that decode but cannot
+// predict — a missing network, a layer whose weights or biases do not
+// fit its shape, layers that do not chain — and a truncated stream:
+// each must be an error, not a panic.
+func TestLoadMalformedModels(t *testing.T) {
+	_, m := fixture(t)
+	var good bytes.Buffer
+	if err := m.Save(&good); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, want string
+		spoil      func(*Models)
+	}{
+		{"no light network", "light network: missing network", func(m *Models) { m.LightNet = nil }},
+		{"no layers", "light network: missing network", func(m *Models) { m.LightNet.Layers = nil }},
+		{"short weights", "light network: layer 1: ", func(m *Models) {
+			l := m.LightNet.Layers[1]
+			l.W = l.W[:len(l.W)-1]
+		}},
+		{"long biases", "light network: layer 0: ", func(m *Models) {
+			l := m.LightNet.Layers[0]
+			l.B = append(l.B, 0)
+		}},
+		{"zero width", "light network: layer 0: layer shape", func(m *Models) {
+			l := m.LightNet.Layers[0]
+			l.In, l.W = 0, nil
+		}},
+		{"unchained layers", "light network: layer 1 takes", func(m *Models) {
+			l := m.LightNet.Layers[1]
+			l.In--
+			l.W = l.W[:l.In*l.Out]
+		}},
+		{"no projection", "content tower: missing layer", func(m *Models) {
+			m.ContentNets[feat.MobileNetV2].ProjB = nil
+		}},
+		{"no trunk", "trunk: missing network", func(m *Models) {
+			m.ContentNets[feat.MobileNetV2].Trunk = nil
+		}},
+		{"unchained trunk", "trunk takes", func(m *Models) {
+			p := m.ContentNets[feat.MobileNetV2].ProjA
+			p.Out--
+			p.W, p.B = p.W[:p.In*p.Out], p.B[:p.Out]
+		}},
+	}
+	for _, c := range cases {
+		bad, err := Load(bytes.NewReader(good.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.spoil(bad)
+		var buf bytes.Buffer
+		if err := bad.Save(&buf); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: Load error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+	for _, n := range []int{0, 1, good.Len() / 2, good.Len() - 1} {
+		if _, err := Load(bytes.NewReader(good.Bytes()[:n])); err == nil {
+			t.Fatalf("bundle truncated to %d of %d bytes loaded without error", n, good.Len())
 		}
 	}
 }
